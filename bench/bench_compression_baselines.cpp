@@ -13,8 +13,6 @@
 #include <memory>
 
 #include "bench_util.hpp"
-#include "fl/compression.hpp"
-#include "fl/server_opt.hpp"
 
 using namespace spatl;
 using namespace spatl::bench;
@@ -57,37 +55,10 @@ int main(int argc, char** argv) {
     return fl::FlEnvironment(source, clients, 0.3, 0.25, rng);
   };
 
-  {
+  for (const char* name :
+       {"fedavg", "fedavg+topk", "fedavg+int8", "fedavgm", "fedadam"}) {
     auto env = fresh_env();
-    fl::FedAvg algo(env, cfg);
-    report(algo);
-  }
-  {
-    auto env = fresh_env();
-    fl::CompressedFedAvg algo(env, cfg, fl::Codec::kTopK, 0.1);
-    report(algo);
-  }
-  {
-    auto env = fresh_env();
-    fl::CompressedFedAvg algo(env, cfg, fl::Codec::kInt8);
-    report(algo);
-  }
-  {
-    auto env = fresh_env();
-    fl::ServerOptConfig sopt;
-    sopt.optimizer = fl::ServerOptimizer::kMomentum;
-    sopt.lr = 0.5;
-    sopt.momentum = 0.5;
-    fl::ServerOptFedAvg algo(env, cfg, sopt);
-    report(algo);
-  }
-  {
-    auto env = fresh_env();
-    fl::ServerOptConfig sopt;
-    sopt.optimizer = fl::ServerOptimizer::kAdam;
-    sopt.lr = 0.1;
-    fl::ServerOptFedAvg algo(env, cfg, sopt);
-    report(algo);
+    report(*fl::make_baseline(name, env, cfg));
   }
   {
     auto env = fresh_env();

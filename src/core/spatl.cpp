@@ -142,318 +142,251 @@ std::size_t SpatlAlgorithm::uplink_cost_floats() {
   return options_.gradient_control ? 2 * shared_dim : shared_dim;
 }
 
-void SpatlAlgorithm::run_round(const std::vector<std::size_t>& selected) {
+std::vector<float> SpatlAlgorithm::open_round() {
   ++round_;
-  auto global_shared = shared_views(global_, options_.transfer_learning);
-  const std::vector<float> w_global = nn::flatten_values(global_shared);
-  const std::size_t shared_dim = w_global.size();
+  return nn::flatten_values(shared_views(global_, options_.transfer_learning));
+}
+
+fl::ClientUpload SpatlAlgorithm::train_client(std::size_t i,
+                                              const std::vector<float>& base) {
+  const std::size_t shared_dim = base.size();
   const std::size_t enc_dim = server_control_.size();
+  SpatlClientState& state = client_state(i);
+  sync_encoder_to_client(state);
+  // Downlink: encoder (+ control variate) (+ predictor when transfer
+  // learning is ablated off and the whole model is shared).
+  ledger_.add_downlink_floats(enc_dim);
+  if (options_.gradient_control) ledger_.add_downlink_floats(enc_dim);
+  if (!options_.transfer_learning) {
+    ledger_.add_downlink_floats(shared_dim - enc_dim);
+  }
 
-  std::vector<double> delta_sum(shared_dim, 0.0);
-  std::vector<std::uint32_t> count(shared_dim, 0);
-  std::vector<double> dc_sum(enc_dim, 0.0);
-  std::size_t accepted_count = 0;
+  // Local update (eq. 3) with encoder-gradient correction (eq. 9).
+  data::GradHook hook;
+  if (options_.gradient_control) {
+    std::vector<float> correction(enc_dim);
+    for (std::size_t j = 0; j < enc_dim; ++j) {
+      correction[j] = server_control_[j] - state.control[j];
+    }
+    auto enc_views = state.model.encoder_params();
+    hook = [corr = std::move(correction),
+            enc_views](const std::vector<nn::ParamView>&) {
+      std::size_t off = 0;
+      for (const auto& v : enc_views) {
+        float* g = v.grad->data();
+        const std::size_t n = v.value->numel();
+        for (std::size_t j = 0; j < n; ++j) g[j] += corr[off + j];
+        off += n;
+      }
+    };
+  }
+  common::Rng client_rng(config_.seed ^ (0xC11E47ULL * (i + 1)) ^
+                         (round_ * 0x51ULL));
+  data::TrainStats stats;
+  {
+    SPATL_TRACE_SPAN("fl/train");
+    stats =
+        data::train_supervised(state.model, env_.client(i).train,
+                               config_.local, client_rng,
+                               state.model.all_params(), hook);
+  }
+  ++state.participations;
 
-  // Robust path only: accepted masked updates parked until aggregation.
-  // `deltas` is compacted over the mask positions and already carries the
-  // staleness scale, mirroring the streaming accumulation of the mean path
-  // (which divides by the raw owner count, not by the scale sum).
-  struct PendingMasked {
-    std::size_t client = 0;
-    std::vector<std::uint8_t> mask;    // 0/1 over shared_dim
-    std::vector<float> deltas;         // compact: scale * (w_i - w_global)
-    std::vector<std::uint8_t> cmask;   // prefix of mask over enc_dim
-    std::vector<float> dc;             // compact control deltas
+  // Control-variate update (eq. 10, option II), committed client-side.
+  std::vector<float> dc(enc_dim, 0.0f);
+  if (options_.gradient_control) {
+    const auto w_enc_i = nn::flatten_values(state.model.encoder_params());
+    const double k_lr = fl::control_k_lr(
+        config_.local, double(std::max<std::size_t>(1, stats.steps)));
+    for (std::size_t j = 0; j < enc_dim; ++j) {
+      const float c_new = fl::control_update(
+          state.control[j], server_control_[j], base[j], w_enc_i[j], k_lr);
+      dc[j] = c_new - state.control[j];
+      state.control[j] = c_new;
+    }
+  }
+
+  // Salient parameter selection (§IV-B): the agent evaluates the trained
+  // encoder and picks the sparsity policy; the gates realize it.
+  std::size_t selected_indices = 0;
+  if (options_.salient_selection) {
+    SPATL_TRACE_SPAN("spatl/select");
+    rl::PruningEnvConfig env_cfg;
+    env_cfg.flops_budget = options_.flops_budget;
+    env_cfg.criterion = options_.selection_criterion;
+    rl::PruningEnv prune_env(state.model, env_.client(i).val, env_cfg);
+    if (round_ <= options_.agent_finetune_rounds &&
+        options_.agent_finetune_episodes > 0) {
+      rl::train_on_pruning(*state.agent, prune_env, /*rounds=*/1,
+                           options_.agent_finetune_episodes);
+    }
+    const auto graph = prune_env.reset();
+    const auto actions = state.agent->act(graph, /*explore=*/false);
+    const auto sr = prune_env.step(actions);
+    state.last_flops_ratio = sr.flops_ratio;
+    state.last_sparsity = prune::overall_sparsity(state.model);
+    for (const auto* gate : state.model.gates()) {
+      for (auto m : gate->mask()) selected_indices += m;
+    }
+  } else {
+    state.model.reset_gates();
+    state.last_flops_ratio = 1.0;
+    state.last_sparsity = 0.0;
+  }
+  ledger_.add_uplink_indices(selected_indices);
+
+  // Masked upload (eq. 12's (values, index) pairs). The salient values
+  // and the control deltas on the same positions travel as one payload,
+  // so in-flight corruption/loss and server-side validation see exactly
+  // what crosses the wire.
+  fl::ClientUpload up;
+  auto& payload = up.update.values;
+  up.update.mask = upload_mask(state.model, shared_dim);
+  const auto& mask = up.update.mask;
+  const auto w_i =
+      nn::flatten_values(shared_views(state.model, options_.transfer_learning));
+  payload.reserve(shared_dim);
+  for (std::size_t j = 0; j < shared_dim; ++j) {
+    if (mask[j]) payload.push_back(w_i[j]);
+  }
+  if (options_.gradient_control) {
+    for (std::size_t j = 0; j < enc_dim; ++j) {
+      if (mask[j]) payload.push_back(dc[j]);
+    }
+  }
+  // Payload-aligned reference: the global weights on the salient
+  // positions, zero on the control-delta segment. Byzantine crafting and
+  // the norm-bound defense both operate about this center, so a sign-flip
+  // genuinely reverses the client's *update* rather than its raw weights.
+  payload_ref_.clear();
+  for (std::size_t j = 0; j < shared_dim; ++j) {
+    if (mask[j]) payload_ref_.push_back(base[j]);
+  }
+  payload_ref_.resize(payload.size(), 0.0f);
+  up.wire_bytes = 4.0 * double(payload.size());
+  up.reference = &payload_ref_;
+  return up;
+}
+
+namespace {
+
+/// Move a fresh payload's control-delta tail into `aux`, leaving the
+/// compacted salient values in `values` — the layout late commits carry.
+void split_control(fl::Contribution& up) {
+  const auto salient =
+      std::size_t(std::count(up.mask.begin(), up.mask.end(), 1));
+  up.aux.assign(up.values.begin() + std::ptrdiff_t(salient), up.values.end());
+  up.values.resize(salient);
+}
+
+}  // namespace
+
+// The update parks raw (deltas against this round's base, no scale yet —
+// the staleness discount depends on the actual commit round, which a
+// skipped round can push further out).
+fl::BufferedUpdate SpatlAlgorithm::park_conversion(
+    fl::Contribution update, const std::vector<float>& base) {
+  split_control(update);
+  std::size_t p = 0;
+  for (std::size_t j = 0; j < base.size(); ++j) {
+    if (!update.mask[j]) continue;
+    update.values[p] = float(double(update.values[p]) - double(base[j]));
+    ++p;
+  }
+  return update;
+}
+
+void SpatlAlgorithm::combine(std::vector<fl::Contribution>& accepted,
+                             const std::vector<float>& base) {
+  const std::size_t shared_dim = base.size();
+  const std::size_t enc_dim = server_control_.size();
+  // One layout for every entry: compacted salient values in `values` (raw
+  // weights when fresh, deltas when late), control deltas in `aux`.
+  for (auto& up : accepted) {
+    if (!up.late) split_control(up);
+  }
+  // Staleness-scaled delta at compact position p (coordinate j). Control
+  // deltas commit full-strength (bookkeeping, not a step).
+  const auto delta = [&](const fl::Contribution& up, std::size_t p,
+                         std::size_t j) {
+    return up.scale * (up.late ? double(up.values[p])
+                               : double(up.values[p]) - double(base[j]));
   };
-  std::vector<PendingMasked> pending;
-  const bool robust = robust_active();
+  std::vector<float> w_new = base;
+  auto global_shared = shared_views(global_, options_.transfer_learning);
 
-  // Late commits first (DESIGN.md §11): a parked salient update kept its
-  // upload mask alongside the compacted raw deltas, so it replays through
-  // the same per-coordinate owner counting — or the masked-payload aware
-  // robust path — as a fresh upload, discounted by the commit-time
-  // staleness scale. Control deltas commit full-strength, like the fresh
-  // path (bookkeeping, not a step).
-  for (auto& b : take_due_updates()) {
-    const double scale = commit_scale(b);
-    ++accepted_count;
-    if (robust) {
-      PendingMasked pm;
-      pm.client = b.client;
-      pm.deltas.resize(b.values.size());
-      for (std::size_t p = 0; p < b.values.size(); ++p) {
-        pm.deltas[p] = float(scale * double(b.values[p]));
-      }
-      if (options_.gradient_control) {
-        pm.cmask.assign(b.mask.begin(),
-                        b.mask.begin() + std::ptrdiff_t(enc_dim));
-        pm.dc = std::move(b.aux);
-      }
-      pm.mask = std::move(b.mask);
-      pending.push_back(std::move(pm));
-      continue;
-    }
-    std::size_t p = 0;
-    for (std::size_t j = 0; j < shared_dim; ++j) {
-      if (!b.mask[j]) continue;
-      delta_sum[j] += scale * double(b.values[p]);
-      ++count[j];
-      ++p;
-    }
-    if (options_.gradient_control) {
-      p = 0;
-      for (std::size_t j = 0; j < enc_dim; ++j) {
-        if (!b.mask[j]) continue;
-        dc_sum[j] += double(b.aux[p]);
-        ++p;
-      }
-    }
-  }
-
-  for (const std::size_t i : selected) {
-    SpatlClientState& state = client_state(i);
-    sync_encoder_to_client(state);
-    // Downlink: encoder (+ control variate) (+ predictor when transfer
-    // learning is ablated off and the whole model is shared).
-    ledger_.add_downlink_floats(enc_dim);
-    if (options_.gradient_control) ledger_.add_downlink_floats(enc_dim);
-    if (!options_.transfer_learning) {
-      ledger_.add_downlink_floats(shared_dim - enc_dim);
-    }
-
-    // Local update (eq. 3) with encoder-gradient correction (eq. 9).
-    data::GradHook hook;
-    if (options_.gradient_control) {
-      std::vector<float> correction(enc_dim);
-      for (std::size_t j = 0; j < enc_dim; ++j) {
-        correction[j] = server_control_[j] - state.control[j];
-      }
-      auto enc_views = state.model.encoder_params();
-      hook = [corr = std::move(correction),
-              enc_views](const std::vector<nn::ParamView>&) {
-        std::size_t off = 0;
-        for (const auto& v : enc_views) {
-          float* g = v.grad->data();
-          const std::size_t n = v.value->numel();
-          for (std::size_t j = 0; j < n; ++j) g[j] += corr[off + j];
-          off += n;
-        }
-      };
-    }
-    common::Rng client_rng(config_.seed ^ (0xC11E47ULL * (i + 1)) ^
-                           (round_ * 0x51ULL));
-    data::TrainStats stats;
-    {
-      SPATL_TRACE_SPAN("fl/train");
-      stats =
-          data::train_supervised(state.model, env_.client(i).train,
-                                 config_.local, client_rng,
-                                 state.model.all_params(), hook);
-    }
-    ++state.participations;
-
-    // Control-variate update (eq. 10, option II).
-    std::vector<float> dc(enc_dim, 0.0f);
-    if (options_.gradient_control) {
-      const auto w_enc_i = nn::flatten_values(state.model.encoder_params());
-      // Momentum-SGD displacement scaling, as in the SCAFFOLD baseline.
-      const double eff_lr =
-          config_.local.lr / (1.0 - config_.local.momentum);
-      const double k_lr =
-          double(std::max<std::size_t>(1, stats.steps)) * eff_lr;
-      for (std::size_t j = 0; j < enc_dim; ++j) {
-        const float c_new =
-            state.control[j] - server_control_[j] +
-            float((w_global[j] - w_enc_i[j]) / k_lr);
-        dc[j] = c_new - state.control[j];
-        state.control[j] = c_new;
-      }
-    }
-
-    // Salient parameter selection (§IV-B): the agent evaluates the trained
-    // encoder and picks the sparsity policy; the gates realize it.
-    std::size_t selected_indices = 0;
-    if (options_.salient_selection) {
-      SPATL_TRACE_SPAN("spatl/select");
-      rl::PruningEnvConfig env_cfg;
-      env_cfg.flops_budget = options_.flops_budget;
-      env_cfg.criterion = options_.selection_criterion;
-      rl::PruningEnv prune_env(state.model, env_.client(i).val, env_cfg);
-      if (round_ <= options_.agent_finetune_rounds &&
-          options_.agent_finetune_episodes > 0) {
-        rl::train_on_pruning(*state.agent, prune_env, /*rounds=*/1,
-                             options_.agent_finetune_episodes);
-      }
-      const auto graph = prune_env.reset();
-      const auto actions = state.agent->act(graph, /*explore=*/false);
-      const auto sr = prune_env.step(actions);
-      state.last_flops_ratio = sr.flops_ratio;
-      state.last_sparsity = prune::overall_sparsity(state.model);
-      for (const auto* gate : state.model.gates()) {
-        for (auto m : gate->mask()) selected_indices += m;
-      }
-    } else {
-      state.model.reset_gates();
-      state.last_flops_ratio = 1.0;
-      state.last_sparsity = 0.0;
-    }
-
-    // Masked upload (eq. 12's (values, index) pairs). The salient values
-    // and the control deltas on the same positions travel as one payload,
-    // so in-flight corruption/loss and server-side validation see exactly
-    // what crosses the wire.
-    const auto mask = upload_mask(state.model, shared_dim);
-    const auto w_i =
-        nn::flatten_values(shared_views(state.model,
-                                        options_.transfer_learning));
-    std::vector<float> payload;
-    payload.reserve(shared_dim);
-    for (std::size_t j = 0; j < shared_dim; ++j) {
-      if (mask[j]) payload.push_back(w_i[j]);
-    }
-    const std::size_t uploaded = payload.size();
-    std::size_t uploaded_control = 0;
-    if (options_.gradient_control) {
-      for (std::size_t j = 0; j < enc_dim; ++j) {
-        if (!mask[j]) continue;
-        payload.push_back(dc[j]);
-        ++uploaded_control;
-      }
-    }
-    // Payload-aligned reference: the global weights on the salient
-    // positions, zero on the control-delta segment. Byzantine crafting and
-    // the norm-bound defense both operate about this center, so a sign-flip
-    // genuinely reverses the client's *update* rather than its raw weights.
-    std::vector<float> payload_ref;
-    payload_ref.reserve(payload.size());
-    for (std::size_t j = 0; j < shared_dim; ++j) {
-      if (mask[j]) payload_ref.push_back(w_global[j]);
-    }
-    payload_ref.resize(payload.size(), 0.0f);
-    const Delivery d = deliver_update(i, payload,
-                                      uploaded + uploaded_control,
-                                      &payload_ref);
-    ledger_.add_uplink_indices(selected_indices);
-    if (d.deferred) {
-      // Park the masked update raw (deltas against this round's base, no
-      // scale yet — the staleness discount depends on the actual commit
-      // round, which a skipped round can push further out).
-      fl::BufferedUpdate b;
-      b.values.reserve(uploaded);
-      std::size_t p = 0;
-      for (std::size_t j = 0; j < shared_dim; ++j) {
-        if (!mask[j]) continue;
-        b.values.push_back(
-            float(double(payload[p]) - double(w_global[j])));
-        ++p;
-      }
-      if (options_.gradient_control) {
-        b.aux.reserve(uploaded_control);
-        for (std::size_t j = 0; j < enc_dim; ++j) {
-          if (!mask[j]) continue;
-          b.aux.push_back(payload[p]);
-          ++p;
-        }
-      }
-      b.mask = mask;
-      park_update(i, d, std::move(b));
-      continue;
-    }
-    if (!d.accepted) continue;
-    ++accepted_count;
-    if (robust) {
-      PendingMasked pm;
-      pm.client = i;
-      pm.mask = mask;
-      pm.deltas.reserve(uploaded);
-      std::size_t p = 0;
-      for (std::size_t j = 0; j < shared_dim; ++j) {
-        if (!mask[j]) continue;
-        pm.deltas.push_back(
-            float(d.scale * (double(payload[p]) - double(w_global[j]))));
-        ++p;
-      }
-      if (options_.gradient_control) {
-        pm.cmask.assign(mask.begin(), mask.begin() + std::ptrdiff_t(enc_dim));
-        pm.dc.reserve(uploaded_control);
-        for (std::size_t j = 0; j < enc_dim; ++j) {
-          if (!mask[j]) continue;
-          pm.dc.push_back(payload[p]);
-          ++p;
-        }
-      }
-      pending.push_back(std::move(pm));
-      continue;
-    }
-    std::size_t p = 0;
-    for (std::size_t j = 0; j < shared_dim; ++j) {
-      if (!mask[j]) continue;
-      delta_sum[j] += d.scale * (double(payload[p]) - double(w_global[j]));
-      ++count[j];
-      ++p;
-    }
-    if (options_.gradient_control) {
-      for (std::size_t j = 0; j < enc_dim; ++j) {
-        if (!mask[j]) continue;
-        dc_sum[j] += payload[p];
-        ++p;
-      }
-    }
-  }
-  if (!quorum_met(accepted_count)) return;
-  SPATL_TRACE_SPAN("fl/aggregate");
-
-  if (robust) {
+  if (robust_active()) {
     // Robust masked aggregation: per-coordinate statistics run over the
     // clients that transmitted each coordinate; Krum scores pairs on their
     // shared support. The center replaces eq. 12's per-coordinate mean.
-    std::vector<fl::RobustUpdate> ups(pending.size());
-    for (std::size_t s = 0; s < pending.size(); ++s) {
-      ups[s] = {pending[s].client, 1.0, &pending[s].deltas, &pending[s].mask};
+    std::vector<fl::RobustUpdate> ups(accepted.size());
+    for (std::size_t s = 0; s < accepted.size(); ++s) {
+      auto& up = accepted[s];
+      std::size_t p = 0;
+      for (std::size_t j = 0; j < shared_dim; ++j) {
+        if (!up.mask[j]) continue;
+        up.values[p] = float(delta(up, p, j));
+        ++p;
+      }
+      ups[s] = {up.client, 1.0, &up.values, &up.mask};
     }
     const auto outcome = robust_combine(ups, shared_dim, nullptr);
-    const auto excluded = [&](std::size_t client) {
-      return std::find(outcome.excluded.begin(), outcome.excluded.end(),
-                       client) != outcome.excluded.end();
-    };
-    std::vector<float> w_new = w_global;
     for (std::size_t j = 0; j < shared_dim; ++j) {
       if (outcome.defined[j]) {
         w_new[j] += float(options_.server_lr * double(outcome.value[j]));
       }
     }
     nn::unflatten_values(w_new, global_shared);
-    if (options_.gradient_control) {
-      // eq. 11's c += sum(dc)/N with the per-coordinate owner mean replaced
-      // by the robust center over the clients the aggregator kept.
-      std::vector<fl::RobustUpdate> dc_ups;
-      std::vector<std::uint32_t> c_count(enc_dim, 0);
-      for (const auto& pm : pending) {
-        if (excluded(pm.client)) continue;
-        dc_ups.push_back({pm.client, 1.0, &pm.dc, &pm.cmask});
-        for (std::size_t j = 0; j < enc_dim; ++j) {
-          if (pm.cmask[j]) ++c_count[j];
-        }
+    if (!options_.gradient_control) return;
+    // eq. 11's c += sum(dc)/N with the per-coordinate owner mean replaced
+    // by the robust center over the clients the aggregator kept.
+    std::vector<fl::RobustUpdate> dc_ups;
+    std::vector<std::vector<std::uint8_t>> cmasks(accepted.size());
+    std::vector<std::uint32_t> c_count(enc_dim, 0);
+    for (std::size_t s = 0; s < accepted.size(); ++s) {
+      const auto& up = accepted[s];
+      if (std::find(outcome.excluded.begin(), outcome.excluded.end(),
+                    up.client) != outcome.excluded.end()) {
+        continue;
       }
-      if (!dc_ups.empty()) {
-        const auto dc_out = robust_->aggregate(dc_ups, enc_dim, nullptr);
-        SPATL_DCHECK(dc_out.value.size() == enc_dim &&
-                     dc_out.defined.size() == enc_dim);
-        stats_.clipped += dc_out.clipped;
-        const double inv_n = 1.0 / double(env_.num_clients());
-        for (std::size_t j = 0; j < enc_dim; ++j) {
-          if (dc_out.defined[j]) {
-            server_control_[j] +=
-                float(double(c_count[j]) * inv_n * double(dc_out.value[j]));
-          }
-        }
+      cmasks[s].assign(up.mask.begin(),
+                       up.mask.begin() + std::ptrdiff_t(enc_dim));
+      dc_ups.push_back({up.client, 1.0, &up.aux, &cmasks[s]});
+      for (std::size_t j = 0; j < enc_dim; ++j) c_count[j] += cmasks[s][j];
+    }
+    if (dc_ups.empty()) return;
+    const auto dc_out = robust_->aggregate(dc_ups, enc_dim, nullptr);
+    SPATL_DCHECK(dc_out.value.size() == enc_dim &&
+                 dc_out.defined.size() == enc_dim);
+    stats_.clipped += dc_out.clipped;
+    const double inv_n = 1.0 / double(env_.num_clients());
+    for (std::size_t j = 0; j < enc_dim; ++j) {
+      if (dc_out.defined[j]) {
+        server_control_[j] +=
+            float(double(c_count[j]) * inv_n * double(dc_out.value[j]));
       }
     }
     return;
   }
 
-  // Server: masked aggregation (eq. 12) ...
-  std::vector<float> w_new = w_global;
+  // Server: masked aggregation (eq. 12) over each coordinate's owners ...
+  std::vector<double> delta_sum(shared_dim, 0.0);
+  std::vector<std::uint32_t> count(shared_dim, 0);
+  std::vector<double> dc_sum(enc_dim, 0.0);
+  for (const auto& up : accepted) {
+    std::size_t p = 0;
+    for (std::size_t j = 0; j < shared_dim; ++j) {
+      if (!up.mask[j]) continue;
+      delta_sum[j] += delta(up, p, j);
+      ++count[j];
+      ++p;
+    }
+    if (!options_.gradient_control) continue;
+    p = 0;
+    for (std::size_t j = 0; j < enc_dim; ++j) {
+      if (up.mask[j]) dc_sum[j] += double(up.aux[p++]);
+    }
+  }
   for (std::size_t j = 0; j < shared_dim; ++j) {
     if (count[j] == 0) continue;
     w_new[j] += float(options_.server_lr * delta_sum[j] / double(count[j]));

@@ -61,12 +61,6 @@ class SpatlAlgorithm : public fl::FederatedAlgorithm {
                  const rl::PpoAgent* pretrained_agent = nullptr);
 
   std::string name() const override { return "spatl"; }
-  /// Salient masked uploads buffer correctly: a parked update keeps its
-  /// upload mask alongside the compacted deltas, so a late commit replays
-  /// through the same per-coordinate owner counting (and the masked-payload
-  /// aware robust aggregator) as a fresh one.
-  bool supports_async() const override { return true; }
-  void run_round(const std::vector<std::size_t>& selected) override;
   /// Admission-budget estimate: the dense shared encoder (doubled when
   /// gradient control ships deltas on the same positions) — a conservative
   /// bound on the masked salient payload.
@@ -102,6 +96,19 @@ class SpatlAlgorithm : public fl::FederatedAlgorithm {
   void load_state(const fl::RunCheckpoint& in) override;
 
  private:
+  // Client-round skeleton hooks. The round base is the flat shared vector
+  // (the encoder, plus the predictor when transfer learning is off).
+  std::vector<float> open_round() override;
+  fl::ClientUpload train_client(std::size_t client,
+                                const std::vector<float>& base) override;
+  /// A parked salient update keeps its upload mask alongside the compacted
+  /// deltas, so a late commit replays through the same per-coordinate owner
+  /// counting (or the masked-payload aware robust aggregator) as a fresh one.
+  fl::BufferedUpdate park_conversion(fl::Contribution update,
+                                     const std::vector<float>& base) override;
+  void combine(std::vector<fl::Contribution>& accepted,
+               const std::vector<float>& base) override;
+
   SpatlClientState& client_state(std::size_t client);
   void sync_encoder_to_client(SpatlClientState& state);
   /// 0/1 include-mask over the flat shared vector from the client's gates.
@@ -113,6 +120,7 @@ class SpatlAlgorithm : public fl::FederatedAlgorithm {
   std::vector<std::unique_ptr<SpatlClientState>> clients_;
   std::vector<float> server_control_;  // c over encoder params
   std::size_t round_ = 0;
+  std::vector<float> payload_ref_;  // the uploading client's payload center
 };
 
 }  // namespace spatl::core

@@ -42,22 +42,40 @@ CompressedUpdate compress_update(std::span<const float> delta, Codec codec,
 /// Decode into a dense vector (zeros where nothing was sent).
 std::vector<float> decompress_update(const CompressedUpdate& update);
 
-/// FedAvg with compressed uplink: clients send encoded deltas; the server
-/// averages the decoded deltas. Downlink stays dense (servers are not
-/// bandwidth-bound in the paper's setting).
+/// Server step applied to the mean client delta: a plain server_lr step, or
+/// the mean delta as a pseudo-gradient for a stateful server optimizer —
+/// momentum (FedAvgM) or Adam (FedAdam), Reddi et al., "Adaptive Federated
+/// Optimization", the paper's reference [28].
+enum class ServerOptimizer { kSgd, kMomentum, kAdam };
+
+/// FedAvg over the uniform mean of client deltas w_i - w_global, with an
+/// uplink codec stage (clients send encoded deltas, the server aggregates
+/// the decoded ones; downlink stays dense, as servers are not
+/// bandwidth-bound in the paper's setting) and a server-step stage. Runs on
+/// the shared client-round skeleton, so faults, validation, robust
+/// aggregation and async stragglers apply as for every other algorithm.
+// ckpt-struct: algo/opt/
 class CompressedFedAvg : public FederatedAlgorithm {
  public:
   CompressedFedAvg(FlEnvironment& env, FlConfig config, Codec codec,
-                   double topk_fraction = 0.1);
+                   ServerOptimizer step = ServerOptimizer::kSgd);
 
-  std::string name() const override {
-    return "fedavg+" + codec_name(codec_);
-  }
-  void run_round(const std::vector<std::size_t>& selected) override;
+  /// "fedavgm" / "fedadam" for the server optimizers, else "fedavg+<codec>".
+  std::string name() const override;
+  void save_state(RunCheckpoint& out) override;
+  void load_state(const RunCheckpoint& in) override;
 
  private:
-  Codec codec_;
-  double topk_fraction_;
+  ClientUpload train_client(std::size_t client,
+                            const std::vector<float>& base) override;
+  void combine(std::vector<Contribution>& accepted,
+               const std::vector<float>& base) override;
+
+  Codec codec_;                  // ckpt: none(configuration)
+  ServerOptimizer step_kind_;    // ckpt: none(configuration)
+  std::vector<float> velocity_;  // ckpt: algo/opt/m (momentum buffer / Adam m)
+  std::vector<float> second_;    // ckpt: algo/opt/v (Adam v)
+  std::uint64_t step_ = 0;       // ckpt: algo/opt/t
 };
 
 }  // namespace spatl::fl

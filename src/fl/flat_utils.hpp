@@ -20,6 +20,21 @@ data::GradHook make_proximal_hook(std::vector<float> anchor, double mu);
 /// correction c - c_i.
 data::GradHook make_correction_hook(std::vector<float> correction);
 
+/// Eq. 10's K*lr for a client that took `steps` local steps: momentum-SGD
+/// moves ~lr/(1-m) per step at steady state, so the control-variate
+/// estimate must be scaled accordingly or it overshoots by 1/(1-m) and
+/// diverges. Shared by SCAFFOLD and SPATL.
+inline double control_k_lr(const data::TrainOptions& local, double steps) {
+  return steps * (local.lr / (1.0 - local.momentum));
+}
+
+/// One coordinate of eq. 10 (SCAFFOLD option II):
+/// c_i+ = c_i - c + (w_global - w_i) / (K*lr).
+inline float control_update(float c_i, float c, float w_global, float w_i,
+                            double k_lr) {
+  return c_i - c + float((w_global - w_i) / k_lr);
+}
+
 /// a += scale * b elementwise (sizes must match).
 void axpy(std::vector<float>& a, const std::vector<float>& b, float scale);
 

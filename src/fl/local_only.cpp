@@ -1,6 +1,7 @@
 #include "fl/local_only.hpp"
 
 #include "data/loader.hpp"
+#include "fl/flat_utils.hpp"
 
 namespace spatl::fl {
 
@@ -26,6 +27,34 @@ void LocalOnly::run_round(const std::vector<std::size_t>& selected) {
     data::train_supervised(model, env_.client(i).train, config_.local,
                            client_rng, model.all_params());
     // No ledger activity: nothing is communicated, by definition.
+  }
+}
+
+void LocalOnly::save_state(RunCheckpoint& out) {
+  FederatedAlgorithm::save_state(out);
+  for (std::size_t i = 0; i < clients_.size(); ++i) {
+    if (!clients_[i]) continue;
+    const std::string id = std::to_string(i);
+    out.entries.push_back(pack_floats(
+        "algo/local/w/" + id, nn::flatten_values(clients_[i]->all_params())));
+    out.entries.push_back(
+        pack_floats("algo/local/bn/" + id, flatten_bn_stats(*clients_[i])));
+  }
+}
+
+void LocalOnly::load_state(const RunCheckpoint& in) {
+  FederatedAlgorithm::load_state(in);
+  for (std::size_t i = 0; i < clients_.size(); ++i) {
+    const std::string id = std::to_string(i);
+    const tensor::Tensor* w = in.find("algo/local/w/" + id);
+    if (w == nullptr) {
+      clients_[i].reset();  // not materialized at capture time
+      continue;
+    }
+    auto& model = client_model(i);
+    auto views = model.all_params();
+    nn::unflatten_values(unpack_floats(*w), views);
+    unflatten_bn_stats(unpack_floats(in.at("algo/local/bn/" + id)), model);
   }
 }
 

@@ -12,12 +12,18 @@
 
 namespace spatl::fl {
 
+/// The one algorithm off the client-round skeleton: with no uplink there is
+/// nothing to deliver, vet or combine.
+// ckpt-struct: algo/local/
 class LocalOnly : public FederatedAlgorithm {
  public:
   LocalOnly(FlEnvironment& env, FlConfig config);
 
   std::string name() const override { return "local-only"; }
   void run_round(const std::vector<std::size_t>& selected) override;
+  /// Every materialized client model (weights + BN statistics).
+  void save_state(RunCheckpoint& out) override;
+  void load_state(const RunCheckpoint& in) override;
 
   /// Heterogeneous deployment: evaluation uses each client's own model.
   EvalSummary evaluate_clients() override;
@@ -25,6 +31,8 @@ class LocalOnly : public FederatedAlgorithm {
 
  private:
   models::SplitModel& client_model(std::size_t i);
+  // Lazily built per client.
+  // ckpt: algo/local/w/, algo/local/bn/
   std::vector<std::unique_ptr<models::SplitModel>> clients_;
 };
 

@@ -150,10 +150,9 @@ RunResult run_federated(FederatedAlgorithm& algo, const RunOptions& opts,
   if (defended) {
     algo.set_fault_injection(faults ? &*faults : nullptr, current);
   }
-  // Semi-async straggler commit: only live when the algorithm can park and
-  // replay updates; everything else keeps the synchronous staleness policy.
-  const bool async_on =
-      opts.async.has_value() && opts.async->enabled && algo.supports_async();
+  // Semi-async straggler commit: every algorithm on the client-round
+  // skeleton can park and replay updates.
+  const bool async_on = opts.async.has_value() && opts.async->enabled;
   if (async_on) algo.set_async(*opts.async);
   EscalationTracker escalation(opts.escalation);
   const bool guard = opts.divergence_factor > 0.0;

@@ -241,7 +241,9 @@ TEST_P(AsyncOffBitIdentity, DisabledAsyncMatchesAbsentAsync) {
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, AsyncOffBitIdentity,
                          ::testing::Values("fedavg", "fedprox", "fednova",
-                                           "scaffold", "spatl"));
+                                           "scaffold", "spatl", "fedavgm",
+                                           "fedadam", "fedavg+topk",
+                                           "fedavg+int8"));
 
 // ------------------------------------------- semi-async commit behaviour --
 
@@ -503,7 +505,9 @@ TEST_P(AsyncResumeBitIdentity, MidBufferResumeMatchesStraightThrough) {
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, AsyncResumeBitIdentity,
                          ::testing::Values("fedavg", "fedprox", "fednova",
-                                           "scaffold", "spatl"));
+                                           "scaffold", "spatl", "fedavgm",
+                                           "fedadam", "fedavg+topk",
+                                           "fedavg+int8"));
 
 // ------------------------------------------------- adaptive escalation ----
 

@@ -220,7 +220,9 @@ TEST_P(ResumeBitIdentity, ResumedRunMatchesStraightThrough) {
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, ResumeBitIdentity,
                          ::testing::Values("fedavg", "fedprox", "fednova",
-                                           "scaffold", "spatl"));
+                                           "scaffold", "spatl", "fedavgm",
+                                           "fedadam", "fedavg+topk",
+                                           "fedavg+int8", "local-only"));
 
 TEST(CheckpointResume, FileBackedCheckpointResumesIdentically) {
   const auto source = small_source();

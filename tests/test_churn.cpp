@@ -319,7 +319,9 @@ TEST_P(ChurnOffBitIdentity, InertChurnMatchesAbsentChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, ChurnOffBitIdentity,
                          ::testing::Values("fedavg", "fedprox", "fednova",
-                                           "scaffold", "spatl"));
+                                           "scaffold", "spatl", "fedavgm",
+                                           "fedadam", "fedavg+topk",
+                                           "fedavg+int8"));
 
 // --------------------------------------------------- churn-active behaviour --
 

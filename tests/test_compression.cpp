@@ -5,7 +5,6 @@
 #include "data/synthetic.hpp"
 #include "fl/compression.hpp"
 #include "fl/runner.hpp"
-#include "fl/server_opt.hpp"
 
 namespace spatl::fl {
 namespace {
@@ -107,28 +106,28 @@ TEST(CompressedFedAvg, TopKShrinksUplinkAndStillLearns) {
   const auto source = small_source();
   common::Rng rng(7);
   FlEnvironment env(source, 3, 5.0, 0.25, rng);
-  CompressedFedAvg algo(env, small_config(), Codec::kTopK, 0.1);
-  const double before = algo.evaluate_clients().avg_accuracy;
+  auto algo = make_baseline("fedavg+topk", env, small_config());
+  const double before = algo->evaluate_clients().avg_accuracy;
   RunOptions ro;
   ro.rounds = 4;
-  const auto result = run_federated(algo, ro);
+  const auto result = run_federated(*algo, ro);
   EXPECT_GT(result.final_accuracy, before);
   // Uplink must be ~10x smaller than downlink-per-direction.
-  EXPECT_LT(algo.ledger().uplink_bytes(),
-            0.25 * algo.ledger().downlink_bytes());
+  EXPECT_LT(algo->ledger().uplink_bytes(),
+            0.25 * algo->ledger().downlink_bytes());
 }
 
 TEST(CompressedFedAvg, Int8QuartersUplink) {
   const auto source = small_source();
   common::Rng rng(9);
   FlEnvironment env(source, 3, 5.0, 0.25, rng);
-  CompressedFedAvg algo(env, small_config(), Codec::kInt8);
+  auto algo = make_baseline("fedavg+int8", env, small_config());
   RunOptions ro;
   ro.rounds = 1;
-  run_federated(algo, ro);
-  EXPECT_NEAR(algo.ledger().uplink_bytes(),
-              algo.ledger().downlink_bytes() / 4.0,
-              0.01 * algo.ledger().downlink_bytes());
+  run_federated(*algo, ro);
+  EXPECT_NEAR(algo->ledger().uplink_bytes(),
+              algo->ledger().downlink_bytes() / 4.0,
+              0.01 * algo->ledger().downlink_bytes());
 }
 
 TEST(ServerOpt, FedAvgMAndFedAdamLearn) {
@@ -136,23 +135,18 @@ TEST(ServerOpt, FedAvgMAndFedAdamLearn) {
   for (auto opt : {ServerOptimizer::kMomentum, ServerOptimizer::kAdam}) {
     common::Rng rng(15);
     FlEnvironment env(source, 3, 5.0, 0.25, rng);
-    ServerOptConfig sopt;
-    sopt.optimizer = opt;
     // Momentum accumulates ~1/(1-m) of the averaged delta, so at this tiny
-    // scale the server step must be damped to stay stable.
-    if (opt == ServerOptimizer::kMomentum) {
-      sopt.lr = 0.5;
-      sopt.momentum = 0.5;
-    } else {
-      sopt.lr = 0.1;
-    }
-    ServerOptFedAvg algo(env, small_config(), sopt);
-    const double before = algo.evaluate_clients().avg_accuracy;
+    // scale the server step must be damped to stay stable (the factory's
+    // FedAvgM runs at lr 0.5, momentum 0.5; FedAdam at lr 0.1).
+    auto algo = make_baseline(
+        opt == ServerOptimizer::kMomentum ? "fedavgm" : "fedadam", env,
+        small_config());
+    const double before = algo->evaluate_clients().avg_accuracy;
     RunOptions ro;
     ro.rounds = 6;
-    const auto result = run_federated(algo, ro);
+    const auto result = run_federated(*algo, ro);
     EXPECT_GT(result.best_accuracy, before)
-        << algo.name() << " failed to learn";
+        << algo->name() << " failed to learn";
   }
 }
 
@@ -160,10 +154,10 @@ TEST(ServerOpt, NamesDistinguishVariants) {
   const auto source = small_source();
   common::Rng rng(17);
   FlEnvironment env(source, 3, 0.5, 0.25, rng);
-  ServerOptFedAvg m(env, small_config(), {.optimizer = ServerOptimizer::kMomentum});
-  ServerOptFedAvg a(env, small_config(), {.optimizer = ServerOptimizer::kAdam});
-  EXPECT_EQ(m.name(), "fedavgm");
-  EXPECT_EQ(a.name(), "fedadam");
+  auto m = make_baseline("fedavgm", env, small_config());
+  auto a = make_baseline("fedadam", env, small_config());
+  EXPECT_EQ(m->name(), "fedavgm");
+  EXPECT_EQ(a->name(), "fedadam");
 }
 
 }  // namespace

@@ -282,7 +282,8 @@ TEST_P(CleanPathIdentity, ZeroRatesAreBitIdenticalToUndefended) {
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, CleanPathIdentity,
                          ::testing::Values("fedavg", "fedprox", "fednova",
-                                           "scaffold"));
+                                           "scaffold", "fedavgm", "fedadam",
+                                           "fedavg+topk", "fedavg+int8"));
 
 TEST(Resilience, NanCorruptedUpdatesAreRejectedAndGlobalStaysFinite) {
   const auto source = small_source();

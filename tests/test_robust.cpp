@@ -415,7 +415,40 @@ TEST_P(RobustCleanIdentity, MeanAggregatorIsBitIdenticalToUndefended) {
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, RobustCleanIdentity,
                          ::testing::Values("fedavg", "fedprox", "fednova",
-                                           "scaffold"));
+                                           "scaffold", "fedavgm", "fedadam",
+                                           "fedavg+topk", "fedavg+int8"));
+
+// The server-optimizer and codec variants run on the shared client-round
+// skeleton, so the fault model, the Byzantine attack and the robust
+// aggregator all reach them.
+class ReroutedDefenceStack : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ReroutedDefenceStack, AttacksDropoutsAndMedianAllApply) {
+  const auto source = small_source();
+  common::Rng rng(97);
+  FlEnvironment env(source, 6, 5.0, 0.25, rng);
+  auto algo = make_baseline(GetParam(), env, small_config());
+
+  RunOptions opts;
+  opts.rounds = 3;
+  FaultConfig fc;
+  fc.byzantine_fraction = 0.5;
+  fc.dropout_rate = 0.5;
+  fc.seed = 404;
+  opts.faults = fc;
+  ResilienceConfig rc;
+  rc.aggregator = AggregatorKind::kCoordinateMedian;
+  opts.resilience = rc;
+
+  const auto result = run_federated(*algo, opts);
+  EXPECT_GT(result.total_attacked, 0u);
+  EXPECT_GT(result.total_accepted, 0u);
+  EXPECT_GT(result.total_dropped, 0u);
+  EXPECT_TRUE(is_finite(global_weights(*algo)));
+}
+
+INSTANTIATE_TEST_SUITE_P(Algorithms, ReroutedDefenceStack,
+                         ::testing::Values("fedadam", "fedavg+topk"));
 
 TEST(RobustRun, AttackersAreAttributedInRoundStats) {
   const auto source = small_source();

@@ -561,7 +561,9 @@ TEST_P(StorageChaosBitIdentity, CrashedChaosRunMatchesCleanTwin) {
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, StorageChaosBitIdentity,
                          ::testing::Values("fedavg", "fedprox", "fednova",
-                                           "scaffold", "spatl"));
+                                           "scaffold", "spatl", "fedavgm",
+                                           "fedadam", "fedavg+topk",
+                                           "fedavg+int8"));
 
 TEST(StorageChaos, TornWriteOnEveryCommitStillFinishesBitIdentical) {
   // The worst storage day possible: every single store write is torn, so

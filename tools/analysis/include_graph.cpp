@@ -3,7 +3,7 @@
 // Parses every #include "..." edge between project files and enforces the
 // layer DAG: common → obs → tensor → nn → models → data → prune → graph →
 // rl → fl core → {fl/store, fl/async, fl/churn} → {algorithm, compression,
-// local_only, server_opt, runner} → core, with tools/bench/tests/examples
+// local_only, runner} → core, with tools/bench/tests/examples
 // free to include anything. An includer must sit at or above its includee's
 // layer; a downward include (lower layer reaching up) or any cycle is
 // reported with the offending edge path printed. Grandfathered edges live
@@ -46,7 +46,6 @@ Layer layer_of(const std::string& rel) {
       {"src/fl/algorithm", "fl-algorithms", 11},
       {"src/fl/compression", "fl-algorithms", 11},
       {"src/fl/local_only", "fl-algorithms", 11},
-      {"src/fl/server_opt", "fl-algorithms", 11},
       {"src/fl/runner", "fl-runner", 11},
       {"src/fl/", "fl", 9},
       {"src/core/", "core", 12},

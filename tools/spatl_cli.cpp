@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/flags.hpp"
 #include "common/log.hpp"
@@ -28,10 +29,7 @@
 #include "core/transfer.hpp"
 #include "data/loader.hpp"
 #include "data/synthetic.hpp"
-#include "fl/compression.hpp"
-#include "fl/local_only.hpp"
 #include "fl/runner.hpp"
-#include "fl/server_opt.hpp"
 #include "models/checkpoint.hpp"
 #include "obs/alert.hpp"
 #include "obs/flight.hpp"
@@ -129,8 +127,46 @@ data::Dataset make_data(const models::ModelConfig& mc, std::size_t samples,
   }());
 }
 
+/// Fault, Byzantine, resilience, async, churn and admission flags: the
+/// uplink-side machinery that every algorithm but local-only runs through.
+const std::vector<std::string> kUplinkFlags = {
+    "fault-dropout", "fault-straggler", "fault-corruption",
+    "fault-corruption-kind", "fault-loss", "fault-deadline", "fault-seed",
+    "fault-aware-sampling", "fault-ema-decay", "byz-fraction", "byz-attack",
+    "byz-scale", "byz-noise", "quorum", "max-update-norm", "stale-weight",
+    "max-retries", "retry-backoff", "retry-backoff-factor",
+    "retry-backoff-max", "retry-jitter", "aggregator", "trim-fraction",
+    "krum-f", "multi-krum", "clip-norm", "krum-auto-f", "async",
+    "async-stale-weight", "async-max-lag", "escalate", "escalate-threshold",
+    "escalate-patience", "escalate-aggregator", "escalate-reset-after",
+    "churn-join", "churn-leave", "churn-return", "churn-initial",
+    "churn-stale-weight", "churn-staleness-cap", "churn-seed",
+    "admit-max-participants", "admit-max-uplink-bytes", "admit-policy"};
+
+/// Reject any flag outside `known` plus the model-shape and backend flags
+/// every subcommand takes: a misspelled flag must not be silently dropped.
+void check_flags(const common::Flags& flags, std::vector<std::string> known) {
+  known.insert(known.end(), {"arch", "input", "width", "backend"});
+  flags.check_known(known);
+}
+
 int cmd_train(const common::Flags& flags) {
+  std::vector<std::string> known = {
+      "algo", "clients", "rounds", "beta", "seed", "epochs", "lr", "budget",
+      "topk", "sample-ratio", "out", "crash-at", "checkpoint-every",
+      "checkpoint-path", "ckpt-dir", "ckpt-keep", "ckpt-verify",
+      "no-store-resume", "resume", "divergence-factor", "metrics-out",
+      "telemetry-every", "trace-out", "flight-window", "alert-reject-rate",
+      "alert-shed-rate"};
+  known.insert(known.end(), kUplinkFlags.begin(), kUplinkFlags.end());
+  check_flags(flags, known);
   const std::string algo = flags.get("algo", "spatl");
+  for (const auto& f : kUplinkFlags) {
+    if (algo == "local-only" && flags.has(f)) {
+      throw std::invalid_argument("--" + f + " does not apply to --algo " +
+                                  "local-only, which has no uplink");
+    }
+  }
   const std::size_t clients = std::size_t(flags.get_int("clients", 10));
   const std::size_t rounds = std::size_t(flags.get_int("rounds", 10));
   const double beta = flags.get_double("beta", 0.5);
@@ -141,6 +177,7 @@ int cmd_train(const common::Flags& flags) {
   cfg.local.epochs = std::size_t(flags.get_int("epochs", 2));
   cfg.local.batch_size = 16;
   cfg.local.lr = flags.get_double("lr", 0.05);
+  cfg.topk_fraction = flags.get_double("topk", cfg.topk_fraction);
   cfg.seed = seed;
 
   const auto source =
@@ -155,21 +192,6 @@ int cmd_train(const common::Flags& flags) {
     opts.agent_finetune_rounds = 2;
     opts.agent_finetune_episodes = 2;
     algorithm = std::make_unique<core::SpatlAlgorithm>(env, cfg, opts);
-  } else if (algo == "fedavgm" || algo == "fedadam") {
-    fl::ServerOptConfig sopt;
-    sopt.optimizer = algo == "fedavgm" ? fl::ServerOptimizer::kMomentum
-                                       : fl::ServerOptimizer::kAdam;
-    sopt.lr = algo == "fedadam" ? 0.1 : 0.5;
-    sopt.momentum = 0.5;
-    algorithm = std::make_unique<fl::ServerOptFedAvg>(env, cfg, sopt);
-  } else if (algo == "local-only") {
-    algorithm = std::make_unique<fl::LocalOnly>(env, cfg);
-  } else if (algo == "fedavg+topk") {
-    algorithm = std::make_unique<fl::CompressedFedAvg>(
-        env, cfg, fl::Codec::kTopK, flags.get_double("topk", 0.1));
-  } else if (algo == "fedavg+int8") {
-    algorithm = std::make_unique<fl::CompressedFedAvg>(env, cfg,
-                                                       fl::Codec::kInt8);
   } else {
     algorithm = fl::make_baseline(algo, env, cfg);
   }
@@ -465,6 +487,7 @@ int cmd_train(const common::Flags& flags) {
 }
 
 int cmd_evaluate(const common::Flags& flags) {
+  check_flags(flags, {"ckpt", "samples", "seed"});
   const std::string ckpt = flags.get("ckpt");
   if (ckpt.empty()) return usage();
   const auto mc = model_config(flags);
@@ -481,6 +504,7 @@ int cmd_evaluate(const common::Flags& flags) {
 }
 
 int cmd_prune(const common::Flags& flags) {
+  check_flags(flags, {"budget", "seed", "epochs", "rl-rounds"});
   const auto mc = model_config(flags);
   const double budget = flags.get_double("budget", 0.6);
   common::Rng rng(std::uint64_t(flags.get_int("seed", 42)));
@@ -513,6 +537,7 @@ int cmd_prune(const common::Flags& flags) {
 }
 
 int cmd_info(const common::Flags& flags) {
+  check_flags(flags, {});
   const auto mc = model_config(flags);
   common::Rng rng(1);
   auto model = models::build_model(mc, rng);
