@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "fl/store/error.hpp"
-#include "fl/store/format.hpp"
 
 namespace spatl::fl {
 
@@ -127,16 +126,6 @@ const tensor::Tensor& RunCheckpoint::at(const std::string& name) const {
     throw std::runtime_error("RunCheckpoint: missing entry '" + name + "'");
   }
   return *t;
-}
-
-void RunCheckpoint::save(const std::string& path) const {
-  // Routed through the store's atomic tmp+rename protocol; the final file
-  // bytes are the plain tensor container, unchanged from the direct write.
-  store::save_legacy_checkpoint(path, entries);
-}
-
-RunCheckpoint RunCheckpoint::load(const std::string& path) {
-  return RunCheckpoint{store::load_legacy_checkpoint(path)};
 }
 
 }  // namespace spatl::fl

@@ -47,7 +47,8 @@ void unpack_rng(const tensor::Tensor& t, common::Rng& rng);
 
 /// A consistent snapshot of a federated run (see file comment). Entries are
 /// written/consumed by run_federated and FederatedAlgorithm::save_state /
-/// load_state; the struct itself is just the container plus (de)serialization.
+/// load_state; the struct itself is just the container. On disk it lives
+/// only as a store::CheckpointStore generation (fl/store/store.hpp).
 struct RunCheckpoint {
   std::vector<tensor::NamedTensor> entries;
 
@@ -56,12 +57,6 @@ struct RunCheckpoint {
   const tensor::Tensor* find(const std::string& name) const;
   /// Lookup that throws std::runtime_error when absent (corrupt file).
   const tensor::Tensor& at(const std::string& name) const;
-
-  /// Persist to / recover from disk (plain tensor container format, written
-  /// atomically via the fl/store tmp+rename protocol). For CRC-verified
-  /// generational storage use store::CheckpointStore instead.
-  void save(const std::string& path) const;
-  static RunCheckpoint load(const std::string& path);
 };
 
 }  // namespace spatl::fl

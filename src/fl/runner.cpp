@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/log.hpp"
@@ -32,6 +33,77 @@ AdmissionPolicy parse_admission_policy(const std::string& name) {
 
 namespace {
 
+// ---------------------------------------------------------- run counters --
+
+// How one round adds to a total: a count, the size of an id list, or a
+// flag that counts as 1.
+template <std::size_t RoundStats::*kField>
+std::size_t count_of(const RoundStats& s) { return s.*kField; }
+template <std::vector<std::size_t> RoundStats::*kField>
+std::size_t size_of(const RoundStats& s) { return (s.*kField).size(); }
+template <bool RoundStats::*kField>
+std::size_t flag_of(const RoundStats& s) { return s.*kField ? 1 : 0; }
+std::size_t rejected_of(const RoundStats& s) { return s.rejected_total(); }
+
+/// Every run total, one row each. accumulate() adds a round into it, save()
+/// writes it as run/total/<name>, and load() restores it (absent = 0).
+constexpr RunCounter kRunCounters[] = {
+    {"selected", count_of<&RoundStats::selected>, &RunResult::total_selected},
+    {"dropped", count_of<&RoundStats::dropped>, &RunResult::total_dropped},
+    {"stragglers", count_of<&RoundStats::stragglers>,
+     &RunResult::total_stragglers},
+    {"accepted", count_of<&RoundStats::accepted>, &RunResult::total_accepted},
+    {"rejected", rejected_of, &RunResult::total_rejected},
+    {"retransmissions", count_of<&RoundStats::retransmissions>,
+     &RunResult::total_retransmissions},
+    {"skipped", flag_of<&RoundStats::skipped>, &RunResult::rounds_skipped},
+    {"attacked", size_of<&RoundStats::attackers>, &RunResult::total_attacked},
+    {"suspected", size_of<&RoundStats::suspects>,
+     &RunResult::total_suspected},
+    {"rolled_back", flag_of<&RoundStats::rolled_back>,
+     &RunResult::rounds_rolled_back},
+    {"parked", count_of<&RoundStats::parked>, &RunResult::total_parked},
+    {"late_commits", count_of<&RoundStats::late_commits>,
+     &RunResult::total_late_commits},
+    {"escalated", flag_of<&RoundStats::escalated>,
+     &RunResult::rounds_escalated},
+    {"dedup_dropped", count_of<&RoundStats::dedup_dropped>,
+     &RunResult::total_dedup_dropped},
+    {"joined", count_of<&RoundStats::joined>, &RunResult::total_joined},
+    {"left", count_of<&RoundStats::left>, &RunResult::total_left},
+    {"returned", count_of<&RoundStats::returned>, &RunResult::total_returned},
+    {"returning_discounted", count_of<&RoundStats::returning_discounted>,
+     &RunResult::total_returning_discounted},
+    {"shed", count_of<&RoundStats::shed>, &RunResult::total_shed},
+    {"deferred", count_of<&RoundStats::admission_deferred>,
+     &RunResult::total_deferred},
+    {"giveups", size_of<&RoundStats::giveups>, &RunResult::total_giveups},
+};
+
+void accumulate(RunResult& result, const RoundStats& stats) {
+  for (const RunCounter& c : kRunCounters) {
+    result.*c.total += c.per_round(stats);
+  }
+  result.total_backoff_wait += stats.backoff_wait;
+  for (const std::size_t c : stats.giveups) {
+    if (c < result.client_giveups.size()) ++result.client_giveups[c];
+  }
+}
+
+/// The run/series/<name> scalar, or `fallback` when the entry is absent.
+double series_entry(const RunCheckpoint& ckpt, const char* name,
+                    double fallback) {
+  const tensor::Tensor* t = ckpt.find("run/series/" + std::string(name));
+  return t != nullptr ? unpack_doubles(*t).at(0) : fallback;
+}
+
+/// Minimum relative selection weight under fault-aware sampling: flaky
+/// clients are down-weighted, never starved.
+constexpr double kFaultSamplingFloor = 0.15;
+/// Robust rule a diverged round is re-aggregated with.
+constexpr AggregatorKind kDivergenceFallback =
+    AggregatorKind::kCoordinateMedian;
+
 std::string ids_array(const std::vector<std::size_t>& ids) {
   std::string out = "[";
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -42,48 +114,18 @@ std::string ids_array(const std::vector<std::size_t>& ids) {
   return out;
 }
 
-void accumulate(RunResult& result, const RoundStats& stats) {
-  result.total_selected += stats.selected;
-  result.total_dropped += stats.dropped;
-  result.total_stragglers += stats.stragglers;
-  result.total_accepted += stats.accepted;
-  result.total_rejected += stats.rejected_total();
-  result.total_retransmissions += stats.retransmissions;
-  result.total_attacked += stats.attackers.size();
-  result.total_suspected += stats.suspects.size();
-  result.total_parked += stats.parked;
-  result.total_late_commits += stats.late_commits;
-  result.total_dedup_dropped += stats.dedup_dropped;
-  result.total_joined += stats.joined;
-  result.total_left += stats.left;
-  result.total_returned += stats.returned;
-  result.total_returning_discounted += stats.returning_discounted;
-  result.total_shed += stats.shed;
-  result.total_deferred += stats.admission_deferred;
-  result.total_backoff_wait += stats.backoff_wait;
-  result.total_giveups += stats.giveups.size();
-  for (const std::size_t c : stats.giveups) {
-    if (c < result.client_giveups.size()) ++result.client_giveups[c];
-  }
-  if (stats.skipped) ++result.rounds_skipped;
-  if (stats.rolled_back) ++result.rounds_rolled_back;
-  if (stats.escalated) ++result.rounds_escalated;
-}
-
-/// Distribution bounds (ms) for the per-phase latency histograms exported
-/// through MetricsRegistry alongside the per-round JSONL phase totals.
-const std::vector<double>& phase_latency_bounds_ms() {
-  static const std::vector<double> kBounds = {
-      0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0,
-      5000.0};
-  return kBounds;
-}
-
 /// True for the round phases whose latency distribution is worth a
-/// histogram (training, uplink simulation, aggregation, buffer drain).
-bool histogram_phase(const std::string& name) {
+/// sketch (training, uplink simulation, aggregation, buffer drain).
+bool sketched_phase(const std::string& name) {
   return name == "fl/train" || name == "fl/uplink" ||
          name == "fl/aggregate" || name == "fl/buffer";
+}
+
+/// ceil(ratio * n) clamped into [1, n], so no ratio can ever select zero
+/// clients.
+std::size_t cohort_size(double ratio, std::size_t n) {
+  return std::clamp<std::size_t>(std::size_t(std::ceil(ratio * double(n))),
+                                 1, n);
 }
 
 bool contains(const std::vector<std::size_t>& v, std::size_t x) {
@@ -117,794 +159,809 @@ std::vector<std::size_t> weighted_sample_without_replacement(
   return out;
 }
 
-}  // namespace
+// The loop's checkpointed state beyond the algorithm and the RunResult
+// totals. load() starts from a fresh LoopState, so a member save() forgets
+// reverts to its run-start value after a resume or crash drill — and the
+// resume, failover and chaos suites see the drift.
+// ckpt-struct: run/
+struct LoopState {
+  LoopState(const RunOptions& opts, std::size_t num_clients)
+      : sampler(opts.sampling_seed),
+        fail_ema(num_clients, 0.0),
+        escalation(opts.escalation),
+        suspect_rounds(num_clients, 0) {}
 
-RunResult run_federated(FederatedAlgorithm& algo, const RunOptions& opts,
-                        const RoundCallback& callback) {
-  RunResult result;
+  common::Rng sampler;  // ckpt: run/sampler_rng
+  /// Per-client failure EMA for fault-aware sampling: dropped, lost, or
+  /// rejected uplinks raise it; clean rounds decay it.
+  std::vector<double> fail_ema;  // ckpt: run/ema
+  // ckpt: run/series/ (last evaluated loss, the divergence guard's reference)
+  double prev_loss = std::numeric_limits<double>::quiet_NaN();
+  EscalationTracker escalation;          // ckpt: run/escalation
+  std::vector<std::size_t> defer_queue;  // ckpt: run/admission_carryover
+  /// Attack-aware Krum f: per-client count of rounds in which the robust
+  /// aggregator excluded the client.
+  std::vector<std::uint64_t> suspect_rounds;  // ckpt: run/krum_ledger
+};
+
+/// One round's working set, handed from stage to stage.
+struct Round {
+  std::size_t index = 0;
+  bool telemetry = false;  // this round writes a JSONL record
+  bool render = false;     // a record is rendered (telemetry or flight)
+  CommSnapshot comm_start;
+  std::uint64_t trace_start = 0;
+  ChurnDelta churn;
+  std::vector<std::size_t> selected;
+  std::vector<std::size_t> active;
+  std::vector<std::size_t> dropped_ids;
+  bool budget_exhausted = false;
+  RoundStats admission;  // what the runner decided before training
+  RoundStats stats;      // the round as it ran
+  std::optional<EvalSummary> guard_eval;
+  std::optional<EvalSummary> eval;
+  bool stop = false;
+};
+
+/// run_federated as named stages over one LoopState (DESIGN.md §8.5).
+class RoundLoop {
+ public:
+  RoundLoop(FederatedAlgorithm& algo, const RunOptions& opts,
+            const RoundCallback& callback);
+  // The algorithm holds pointers to faults_ and churn_.
+  RoundLoop(const RoundLoop&) = delete;
+  RoundLoop& operator=(const RoundLoop&) = delete;
+
+  RunResult run();
+
+ private:
+  Round begin(std::size_t round);
+  void sample(Round& r);
+  void admit(Round& r);
+  void train(Round& r);
+  void observe(Round& r);
+  void evaluate(Round& r);
+  void checkpoint(Round& r);
+  void emit(const Round& r);
+  std::optional<std::size_t> crash_drill(const Round& r);
+
+  std::size_t start_round();
+  RunCheckpoint save(std::size_t round) const;
+  std::size_t load(const RunCheckpoint& ckpt);
+  std::optional<std::size_t> recover_from_store();
+  void retune_krum();
+  void arm(const ResilienceConfig& rule);
+
+  FederatedAlgorithm& algo_;
+  const RunOptions& opts_;
+  const RoundCallback& callback_;
+  const std::size_t num_clients_;
+  const double ratio_;  // sample_ratio clamped into [0, 1]
+  const bool defended_;
+  const ResilienceConfig resilience_;
+  const bool async_on_;
+  const bool krum_auto_;
+  std::optional<FaultModel> faults_;
+  std::optional<ChurnEngine> churn_;  // persists itself under run/churn/
+  std::optional<store::CheckpointStore> store_;
+  std::vector<std::size_t> all_clients_;  // the sampling pool without churn
+  RunCheckpoint baseline_;                // pre-loop snapshot for drills
+  std::vector<std::size_t> crashed_;      // drill rounds already fired
+
+  LoopState state_;
+  /// The policy installed this round: `resilience_`, upgraded in place when
+  /// the escalation tracker trips (downgraded by the opt-in quiet-streak
+  /// de-escalation) and re-derived by load().
+  ResilienceConfig current_;
+  RunResult result_;
+};
+
+RoundLoop::RoundLoop(FederatedAlgorithm& algo, const RunOptions& opts,
+                     const RoundCallback& callback)
+    : algo_(algo),
+      opts_(opts),
+      callback_(callback),
+      num_clients_(algo.environment().num_clients()),
+      ratio_(std::clamp(opts.sample_ratio, 0.0, 1.0)),
+      defended_(opts.faults.has_value() || opts.resilience.has_value()),
+      resilience_(opts.resilience ? *opts.resilience : ResilienceConfig{}),
+      async_on_(opts.async.has_value() && opts.async->enabled),
+      krum_auto_(opts.krum_auto_f && defended_),
+      all_clients_(num_clients_),
+      state_(opts, num_clients_),
+      current_(resilience_) {
   // Pin the compute backend before any kernel runs: every GEMM in the round
   // loop (client training, evaluation, the divergence guard's probe pass)
   // must execute on one backend for the run to be bit-replayable.
   if (!opts.backend.empty()) {
     tensor::set_active_backend(tensor::parse_backend(opts.backend));
   }
-  common::Rng sampler(opts.sampling_seed);
-  const std::size_t num_clients = algo.environment().num_clients();
-  result.client_giveups.assign(num_clients, 0);
-  // Guard the participant count: clamp the ratio into [0, 1] and the count
-  // into [1, num_clients] so no ratio can ever select zero clients.
-  const double ratio = std::clamp(opts.sample_ratio, 0.0, 1.0);
-  const std::size_t per_round = std::clamp<std::size_t>(
-      std::size_t(std::ceil(ratio * double(num_clients))), 1, num_clients);
-
-  std::optional<FaultModel> faults;
-  if (opts.faults) faults.emplace(*opts.faults);
-  const bool defended = opts.faults.has_value() || opts.resilience.has_value();
-  const ResilienceConfig resilience =
-      opts.resilience ? *opts.resilience : ResilienceConfig{};
-  // The policy actually installed this round: starts at `resilience` and is
-  // upgraded in place when the escalation tracker trips (downgraded again
-  // by the opt-in quiet-streak de-escalation).
-  ResilienceConfig current = resilience;
-  const std::size_t quorum = std::max<std::size_t>(1, resilience.min_quorum);
-  if (defended) {
-    algo.set_fault_injection(faults ? &*faults : nullptr, current);
-  }
+  std::iota(all_clients_.begin(), all_clients_.end(), std::size_t(0));
+  result_.client_giveups.assign(num_clients_, 0);
+  result_.krum_f_estimate = resilience_.krum_f;
+  if (opts.faults) faults_.emplace(*opts.faults);
+  if (defended_) arm(current_);
   // Semi-async straggler commit: every algorithm on the client-round
   // skeleton can park and replay updates.
-  const bool async_on = opts.async.has_value() && opts.async->enabled;
-  if (async_on) algo.set_async(*opts.async);
-  EscalationTracker escalation(opts.escalation);
-  const bool guard = opts.divergence_factor > 0.0;
-
+  if (async_on_) algo.set_async(*opts.async);
   // Durable generational store: periodic checkpoints are additionally
   // committed as CRC-verified generations, and the failover drill recovers
   // through the ladder instead of trusting in-memory state.
-  std::optional<store::CheckpointStore> store;
   if (opts.ckpt_store && opts.ckpt_store->enabled()) {
-    store.emplace(*opts.ckpt_store, opts.store_io, opts.telemetry);
+    store_.emplace(*opts.ckpt_store, opts.store_io, opts.telemetry);
   }
-
-  // Attack-aware Krum f auto-tuning: per-client count of rounds in which
-  // the robust aggregator excluded the client. Repeat suspects (>= 2
-  // rounds) estimate the live Byzantine population; one-off exclusions are
-  // Krum's normal selection noise and are ignored.
-  const bool krum_auto = opts.krum_auto_f && defended;
-  std::vector<std::uint64_t> suspect_rounds(num_clients, 0);
-  result.krum_f_estimate = resilience.krum_f;
-  const auto retune_krum = [&]() {
-    if (!krum_auto) return;
-    std::size_t estimate = 0;
-    for (const std::uint64_t r : suspect_rounds) {
-      if (r >= 2) ++estimate;
-    }
-    // Krum needs n - f - 2 >= 1 scoring neighbours; clamp against the
-    // nominal cohort so a noisy ledger can never wedge the aggregator.
-    const std::size_t upper = per_round > 3 ? per_round - 3 : 0;
-    const std::size_t f =
-        std::max(resilience.krum_f, std::min(estimate, upper));
-    result.krum_f_estimate = f;
-    if (f != current.krum_f) {
-      current.krum_f = f;
-      algo.set_fault_injection(faults ? &*faults : nullptr, current);
-      common::log_debug(algo.name(), " krum auto-tune: f -> ", f, " (",
-                        estimate, " repeat suspect(s))");
-    }
-  };
-
   // Elastic membership: the engine materializes its deterministic trace up
   // front; the runner replays it round by round and samples from the
-  // enrolled set only. At full enrollment the index map is the identity and
-  // the sampling draws match the static-population path bit for bit.
-  std::optional<ChurnEngine> churn;
+  // enrolled set only.
   if (opts.churn) {
-    churn.emplace(*opts.churn, opts.rounds, num_clients);
+    churn_.emplace(*opts.churn, opts.rounds, num_clients_);
     // Off-switch contract: a config whose materialized trace is empty is
     // indistinguishable from no churn at all — same sampling path, same
     // telemetry bytes, same checkpoint entries.
-    if (churn->trace().empty()) churn.reset();
+    if (churn_->trace().empty()) churn_.reset();
   }
-  if (churn) algo.set_churn(&*churn);
-  const bool admission_on = opts.admission.limited();
-  std::vector<std::size_t> defer_queue;  // budget-deferred clients
+  if (churn_) algo.set_churn(&*churn_);
+}
 
-  // Per-client failure EMA for fault-aware sampling (satellite): dropped,
-  // lost, or rejected uplinks raise it; clean rounds decay it.
-  std::vector<double> fail_ema(num_clients, 0.0);
-  const double ema_decay = std::clamp(opts.fault_ema_decay, 0.0, 1.0);
-
-  double prev_loss = std::numeric_limits<double>::quiet_NaN();
-
-  // Full-state snapshot after `round`: everything load-bearing for the
-  // remaining rounds, so a resume (or an injected crash recovery) replays
-  // the uninterrupted run bit for bit.
-  const auto write_checkpoint = [&](std::size_t round) {
-    RunCheckpoint ckpt;
-    algo.save_state(ckpt);
-    ckpt.entries.push_back(pack_u64s("run/round", {std::uint64_t(round)}));
-    ckpt.entries.push_back(pack_rng("run/sampler_rng", sampler));
-    const CommSnapshot lg = algo.ledger().snapshot();
-    ckpt.entries.push_back(pack_doubles(
-        "run/ledger", {lg.uplink, lg.downlink, lg.retransmitted}));
-    ckpt.entries.push_back(pack_doubles("run/ema", fail_ema));
-    ckpt.entries.push_back(pack_u64s(
-        "run/totals",
-        {std::uint64_t(result.total_selected),
-         std::uint64_t(result.total_dropped),
-         std::uint64_t(result.total_stragglers),
-         std::uint64_t(result.total_accepted),
-         std::uint64_t(result.total_rejected),
-         std::uint64_t(result.total_retransmissions),
-         std::uint64_t(result.rounds_skipped),
-         std::uint64_t(result.total_attacked),
-         std::uint64_t(result.total_suspected),
-         std::uint64_t(result.rounds_rolled_back),
-         std::uint64_t(result.total_parked),
-         std::uint64_t(result.total_late_commits),
-         std::uint64_t(result.rounds_escalated),
-         std::uint64_t(result.total_dedup_dropped),
-         std::uint64_t(result.total_joined),
-         std::uint64_t(result.total_left),
-         std::uint64_t(result.total_returned),
-         std::uint64_t(result.total_returning_discounted),
-         std::uint64_t(result.total_shed),
-         std::uint64_t(result.total_deferred),
-         std::uint64_t(result.total_giveups)}));
-    ckpt.entries.push_back(
-        pack_doubles("run/series", {result.best_accuracy,
-                                    result.final_accuracy, prev_loss,
-                                    result.total_backoff_wait}));
-    ckpt.entries.push_back(pack_u64s(
-        "run/escalation", {std::uint64_t(escalation.streak()),
-                           std::uint64_t(escalation.active() ? 1 : 0),
-                           std::uint64_t(escalation.quiet_streak())}));
-    if (!defer_queue.empty()) {
-      std::vector<std::uint64_t> q(defer_queue.begin(), defer_queue.end());
-      ckpt.entries.push_back(pack_u64s("run/admission_carryover", q));
-    }
-    if (krum_auto) {
-      ckpt.entries.push_back(pack_u64s("run/krum_ledger", suspect_rounds));
-    }
-    if (churn) churn->save(ckpt, "run/churn/");
-    if (result.total_giveups > 0) {
-      std::vector<std::uint64_t> g(result.client_giveups.begin(),
-                                   result.client_giveups.end());
-      ckpt.entries.push_back(pack_u64s("run/giveups", g));
-    }
-    return ckpt;
-  };
-
-  // Inverse of write_checkpoint: rebuild every piece of loop state from a
-  // snapshot (shared by the resume path and the crash-recovery drill).
-  // Returns the round the snapshot was taken after.
-  const auto restore_checkpoint = [&](const RunCheckpoint& ckpt) {
-    algo.load_state(ckpt);
-    const std::size_t ckpt_round =
-        std::size_t(unpack_u64s(ckpt.at("run/round"))[0]);
-    unpack_rng(ckpt.at("run/sampler_rng"), sampler);
-    const auto lg = unpack_doubles(ckpt.at("run/ledger"));
-    algo.ledger().restore(lg[0], lg[1], lg[2]);
-    const auto ema = unpack_doubles(ckpt.at("run/ema"));
-    if (ema.size() == num_clients) fail_ema = ema;
-    const auto totals = unpack_u64s(ckpt.at("run/totals"));
-    // Older checkpoints carry shorter vectors (pre-async: 10, pre-churn:
-    // 13); absent entries restore as zero.
-    const auto tot = [&](std::size_t i) {
-      return i < totals.size() ? std::size_t(totals[i]) : std::size_t(0);
-    };
-    result.total_selected = tot(0);
-    result.total_dropped = tot(1);
-    result.total_stragglers = tot(2);
-    result.total_accepted = tot(3);
-    result.total_rejected = tot(4);
-    result.total_retransmissions = tot(5);
-    result.rounds_skipped = tot(6);
-    result.total_attacked = tot(7);
-    result.total_suspected = tot(8);
-    result.rounds_rolled_back = tot(9);
-    result.total_parked = tot(10);
-    result.total_late_commits = tot(11);
-    result.rounds_escalated = tot(12);
-    result.total_dedup_dropped = tot(13);
-    result.total_joined = tot(14);
-    result.total_left = tot(15);
-    result.total_returned = tot(16);
-    result.total_returning_discounted = tot(17);
-    result.total_shed = tot(18);
-    result.total_deferred = tot(19);
-    result.total_giveups = tot(20);
-    const auto series = unpack_doubles(ckpt.at("run/series"));
-    result.best_accuracy = series[0];
-    result.final_accuracy = series[1];
-    prev_loss = series[2];
-    result.total_backoff_wait = series.size() >= 4 ? series[3] : 0.0;
-    if (const auto* esc = ckpt.find("run/escalation")) {
-      const auto state = unpack_u64s(*esc);
-      escalation.restore(std::size_t(state[0]), state[1] != 0,
-                         state.size() >= 3 ? std::size_t(state[2]) : 0);
-    } else {
-      escalation.restore(0, false, 0);
-    }
-    // Re-arm the aggregation rule the snapshot was running under — escalated
-    // or (after a crash that rolled past a de-escalation) the base rule.
-    current = resilience;
-    if (defended && escalation.active()) {
-      current.aggregator = opts.escalation.aggregator;
-    }
-    if (defended) {
-      algo.set_fault_injection(faults ? &*faults : nullptr, current);
-    }
-    if (krum_auto) {
-      suspect_rounds.assign(num_clients, 0);
-      if (const auto* t = ckpt.find("run/krum_ledger")) {
-        const auto v = unpack_u64s(*t);
-        for (std::size_t i = 0;
-             i < std::min<std::size_t>(v.size(), num_clients); ++i) {
-          suspect_rounds[i] = v[i];
-        }
-      }
-      retune_krum();
-    }
-    defer_queue.clear();
-    if (const auto* t = ckpt.find("run/admission_carryover")) {
-      for (const std::uint64_t c : unpack_u64s(*t)) {
-        defer_queue.push_back(std::size_t(c));
-      }
-    }
-    if (churn) churn->load(ckpt, "run/churn/");
-    result.client_giveups.assign(num_clients, 0);
-    if (const auto* t = ckpt.find("run/giveups")) {
-      const auto g = unpack_u64s(*t);
-      for (std::size_t i = 0; i < std::min<std::size_t>(g.size(), num_clients);
-           ++i) {
-        result.client_giveups[i] = std::size_t(g[i]);
-      }
-    }
-    return ckpt_round;
-  };
-
-  std::size_t start_round = 1;
-  if (opts.resume != nullptr && !opts.resume->empty()) {
-    start_round = restore_checkpoint(*opts.resume) + 1;
-  } else if (store && opts.resume_from_store) {
-    // Cross-run reuse: a fresh process pointed at an existing checkpoint
-    // directory resumes from the newest generation that survives the
-    // ladder. No generations (cold start) or all-corrupt leaves
-    // start_round at 1 — identical to a run without the flag.
-    std::size_t recovered = 0;
-    const store::RecoveryOutcome rec = store->recover_latest(
-        [&](const RunCheckpoint& c, const store::Generation&) {
-          recovered = restore_checkpoint(c);
-        });
-    result.recovery_attempts_failed += rec.failed_attempts;
-    if (rec.applied) {
-      ++result.recoveries_from_store;
-      start_round = recovered + 1;
-    } else if (rec.failed_attempts > 0 && opts.flight != nullptr) {
-      // Every generation in the directory was rejected: the window is
-      // empty this early, but the exhaustion itself is worth a record.
-      opts.flight->dump("recovery_exhausted", 0);
-    }
-  }
-
+RunResult RoundLoop::run() {
+  std::size_t round = start_round();
   // Failover drills: the pre-loop baseline covers a crash injected before
   // the first periodic checkpoint exists.
-  const bool drills = !opts.crash_at_rounds.empty();
-  RunCheckpoint baseline;
-  if (drills) baseline = write_checkpoint(start_round - 1);
-  std::vector<std::uint8_t> crash_fired(opts.rounds + 1, 0);
-
-  obs::Tracer& tracer = obs::Tracer::instance();
-  const std::size_t telemetry_stride =
-      std::max<std::size_t>(1, opts.telemetry_every);
-
-  const bool flight_on = opts.flight != nullptr;
-
-  for (std::size_t round = start_round; round <= opts.rounds; ++round) {
-    const bool telemetry_round =
-        opts.telemetry != nullptr &&
-        (round % telemetry_stride == 0 || round == opts.rounds);
-    // The flight recorder keeps EVERY round's rendered record in its ring
-    // (stride-independent), so a record is built whenever either consumer
-    // is attached.
-    const bool render_record = telemetry_round || flight_on;
-    CommSnapshot comm_start;
-    std::uint64_t trace_start = 0;
-    if (render_record) {
-      comm_start = algo.ledger().snapshot();
-      trace_start = tracer.cursor();
-    }
-
-    // Membership events apply at round start regardless of what the round
-    // does afterwards (a skipped round still ages the population).
-    ChurnDelta cdelta;
-    if (churn) cdelta = churn->advance(round);
-
-    RoundStats stats;
-    std::optional<EvalSummary> round_eval;
-    bool stop = false;
+  if (!opts_.crash_at_rounds.empty()) baseline_ = save(round - 1);
+  for (; round <= opts_.rounds; ++round) {
+    Round r = begin(round);
     {
-      // Scoped so the round span completes before phase attribution reads
-      // the tracer below.
+      // Scoped so the round span completes before emit() reads the
+      // tracer's phase totals.
       SPATL_TRACE_SPAN("fl/round");
-
-      std::vector<std::size_t> selected;
-      {
-        SPATL_TRACE_SPAN("fl/sample");
-        if (churn) {
-          // Sample from the enrolled population only, mapping draw indices
-          // through the ascending enrolled list: at full enrollment the map
-          // is the identity and the draw sequence matches the static path.
-          const std::vector<std::size_t>& pool = churn->enrolled();
-          if (!pool.empty()) {
-            const std::size_t pool_count = std::clamp<std::size_t>(
-                std::size_t(std::ceil(ratio * double(pool.size()))),
-                std::size_t(1), pool.size());
-            if (opts.fault_aware_sampling) {
-              std::vector<double> weights(pool.size(), 1.0);
-              for (std::size_t k = 0; k < pool.size(); ++k) {
-                weights[k] = std::max(opts.fault_sampling_floor,
-                                      1.0 - fail_ema[pool[k]]);
-              }
-              selected = weighted_sample_without_replacement(sampler, weights,
-                                                             pool_count);
-            } else {
-              selected =
-                  sampler.sample_without_replacement(pool.size(), pool_count);
-            }
-            for (std::size_t& s : selected) s = pool[s];
-          }
-        } else if (opts.fault_aware_sampling) {
-          // Selection weight shrinks with the failure EMA but never below
-          // the floor: flaky clients are down-weighted, not starved.
-          std::vector<double> weights(num_clients, 1.0);
-          for (std::size_t i = 0; i < num_clients; ++i) {
-            weights[i] =
-                std::max(opts.fault_sampling_floor, 1.0 - fail_ema[i]);
-          }
-          selected =
-              weighted_sample_without_replacement(sampler, weights, per_round);
-        } else {
-          selected =
-              sampler.sample_without_replacement(num_clients, per_round);
-        }
-      }
-
-      // Budget-deferred clients join ahead of the fresh sample (they were
-      // already committed to this cohort; departing mid-queue drops them).
-      if (admission_on && !defer_queue.empty()) {
-        std::vector<std::size_t> merged;
-        merged.reserve(defer_queue.size() + selected.size());
-        for (const std::size_t c : defer_queue) {
-          if (churn && !churn->is_enrolled(c)) continue;
-          if (!contains(merged, c)) merged.push_back(c);
-        }
-        for (const std::size_t c : selected) {
-          if (!contains(merged, c)) merged.push_back(c);
-        }
-        selected = std::move(merged);
-        defer_queue.clear();
-      }
-
-      // Admission: drop clients unavailable this round, flag stragglers.
-      RoundStats admission;
-      admission.selected = selected.size();
-      admission.joined = cdelta.joined;
-      admission.left = cdelta.left;
-      admission.returned = cdelta.returned;
-      if (churn) admission.enrolled = churn->enrolled().size();
-      std::vector<std::size_t> active;
-      std::vector<std::size_t> dropped_ids;
-      if (faults && faults->enabled()) {
-        active.reserve(selected.size());
-        for (const std::size_t i : selected) {
-          const ClientFault f = faults->assess(round, i);
-          if (f.fate == ClientFate::kUnavailable) {
-            ++admission.dropped;
-            dropped_ids.push_back(i);
-            continue;
-          }
-          if (f.fate == ClientFate::kStraggler) ++admission.stragglers;
-          active.push_back(i);
-        }
-      } else {
-        active = selected;
-      }
-
-      // Overload admission control: cap the round's uplinks by participant
-      // count and estimated uplink bytes; excess clients — picked by a
-      // round-keyed rotation so no id is systematically starved — are shed
-      // outright or deferred into the next round's cohort.
-      bool budget_exhausted = false;
-      if (admission_on && !active.empty()) {
-        std::size_t cap = active.size();
-        if (opts.admission.max_participants > 0) {
-          cap = std::min(cap, opts.admission.max_participants);
-        }
-        if (opts.admission.max_uplink_bytes > 0.0) {
-          const double per_uplink = 4.0 * double(algo.uplink_cost_floats());
-          const std::size_t by_bytes =
-              per_uplink > 0.0 ? std::size_t(opts.admission.max_uplink_bytes /
-                                             per_uplink)
-                               : active.size();
-          cap = std::min(cap, by_bytes);
-        }
-        if (cap < active.size()) {
-          const std::size_t excess = active.size() - cap;
-          const std::size_t start = round % active.size();
-          std::vector<std::uint8_t> drop(active.size(), 0);
-          for (std::size_t k = 0; k < excess; ++k) {
-            drop[(start + k) % active.size()] = 1;
-          }
-          std::vector<std::size_t> kept;
-          std::vector<std::size_t> over;
-          kept.reserve(cap);
-          over.reserve(excess);
-          for (std::size_t k = 0; k < active.size(); ++k) {
-            (drop[k] ? over : kept).push_back(active[k]);
-          }
-          active = std::move(kept);
-          if (opts.admission.policy == AdmissionPolicy::kDefer) {
-            admission.admission_deferred = over.size();
-            defer_queue = std::move(over);
-          } else {
-            admission.shed = over.size();
-          }
-          budget_exhausted = active.empty();
-        }
-      }
-
-      stats = admission;
-      std::optional<EvalSummary> guard_eval;
-      // Admission gate: buffered updates due this round count toward the
-      // quorum — a round carried by late commits alone is still a round.
-      const std::size_t due = async_on ? algo.buffered_due(round) : 0;
-      if (active.size() + due < quorum) {
-        // Not enough live participants to even start: skip the round and
-        // leave the global model untouched (parked updates stay buffered
-        // and drain in the next round that clears admission).
-        stats.skipped = true;
-        stats.skip_reason = budget_exhausted
-                                ? SkipReason::kAdmissionBudget
-                                : SkipReason::kAdmissionQuorum;
-        stats.buffer_depth = algo.buffered_total();
-        common::log_debug(algo.name(), " round ", round,
-                          " skipped below quorum (", active.size(), "+", due,
-                          "/", quorum, ", ", skip_reason_name(stats.skip_reason),
-                          ")");
-      } else {
-        // Pre-round snapshot for the divergence guard: algorithm state plus
-        // ledger counters, so a rolled-back round leaves no trace (bytes are
-        // metered once, by the re-run).
-        RunCheckpoint snapshot;
-        CommSnapshot ledger_snap;
-        if (guard) {
-          algo.save_state(snapshot);
-          ledger_snap = algo.ledger().snapshot();
-        }
-        // Churn piggybacks on the defended path's per-round stats plumbing
-        // (returning-client discounts are attributed in deliver_update);
-        // begin_round/round_stats never touch a float, so reading them on
-        // the clean-with-churn path costs nothing.
-        if (defended || churn) algo.begin_round(round, admission);
-        algo.run_round(active);
-        if (defended || churn) stats = algo.round_stats();
-        if (guard) {
-          EvalSummary eval = algo.evaluate_clients();
-          const bool exploded =
-              !std::isfinite(eval.avg_loss) ||
-              (std::isfinite(prev_loss) && prev_loss > 0.0 &&
-               eval.avg_loss > opts.divergence_factor * prev_loss);
-          if (exploded) {
-            common::log_debug(algo.name(), " round ", round,
-                              " diverged (loss ", eval.avg_loss,
-                              "), rolling back and re-aggregating with ",
-                              aggregator_kind_name(opts.divergence_fallback));
-            algo.load_state(snapshot);
-            algo.ledger().restore(ledger_snap);
-            ResilienceConfig fallback = current;
-            fallback.aggregator = opts.divergence_fallback;
-            algo.set_fault_injection(faults ? &*faults : nullptr, fallback);
-            algo.begin_round(round, admission);
-            algo.run_round(active);
-            stats = algo.round_stats();
-            stats.rolled_back = true;
-            // Post-mortem window: the rounds that led into the explosion
-            // (this round's own record is rendered after the dump).
-            if (flight_on) opts.flight->dump("divergence_rollback", round);
-            if (defended) {
-              algo.set_fault_injection(faults ? &*faults : nullptr, current);
-            } else {
-              algo.clear_fault_injection();
-            }
-            eval = algo.evaluate_clients();
-          }
-          prev_loss = eval.avg_loss;
-          guard_eval = eval;
-        }
-      }
-      // Adaptive escalation (defended path only): this round ran under the
-      // rule selected so far; its stats then feed the tracker, and a trip
-      // upgrades the aggregator for every round that follows (one-way
-      // unless a quiet streak de-escalates).
-      stats.escalated = defended && escalation.active();
-      if (defended) {
-        switch (escalation.observe(stats)) {
-          case EscalationTracker::Action::kEscalate:
-            current.aggregator = opts.escalation.aggregator;
-            algo.set_fault_injection(faults ? &*faults : nullptr, current);
-            common::log_debug(algo.name(), " round ", round,
-                              " escalating aggregator to ",
-                              aggregator_kind_name(current.aggregator));
-            break;
-          case EscalationTracker::Action::kDeescalate:
-            current.aggregator = resilience.aggregator;
-            algo.set_fault_injection(faults ? &*faults : nullptr, current);
-            common::log_debug(algo.name(), " round ", round,
-                              " quiet streak elapsed, de-escalating to ",
-                              aggregator_kind_name(current.aggregator));
-            break;
-          case EscalationTracker::Action::kNone:
-            break;
-        }
-      }
-      accumulate(result, stats);
-
-      if (krum_auto && !stats.suspects.empty()) {
-        // One ledger tick per client per round, however many aggregate
-        // calls excluded it (multi-tensor algorithms may call the robust
-        // rule more than once).
-        std::vector<std::size_t> uniq = stats.suspects;
-        std::sort(uniq.begin(), uniq.end());
-        uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-        for (const std::size_t c : uniq) {
-          if (c < num_clients) ++suspect_rounds[c];
-        }
-        retune_krum();
-      }
-
-      // Threshold->alert hook: derived per-round rates, fed only when a
-      // watcher is installed (pure observation).
-      if (opts.alerts != nullptr) {
-        const double delivered =
-            double(std::max<std::size_t>(1, stats.delivered));
-        opts.alerts->observe("fl.reject_rate",
-                             double(stats.rejected_total()) / delivered,
-                             std::uint64_t(round));
-        const double selected_base =
-            double(std::max<std::size_t>(1, stats.selected));
-        opts.alerts->observe(
-            "fl.shed_rate",
-            double(stats.shed + stats.admission_deferred) / selected_base,
-            std::uint64_t(round));
-      }
-
-      if (opts.fault_aware_sampling) {
-        for (const std::size_t i : selected) {
-          const bool failed = contains(dropped_ids, i) ||
-                              contains(stats.rejected_clients, i);
-          fail_ema[i] = ema_decay * fail_ema[i] +
-                        (1.0 - ema_decay) * (failed ? 1.0 : 0.0);
-        }
-      }
-
-      if (round % opts.eval_every == 0 || round == opts.rounds) {
-        const EvalSummary eval =
-            guard_eval ? *guard_eval : algo.evaluate_clients();
-        round_eval = eval;
-        RoundRecord rec;
-        rec.round = round;
-        rec.avg_accuracy = eval.avg_accuracy;
-        rec.avg_loss = eval.avg_loss;
-        rec.cumulative_bytes = algo.ledger().total_bytes();
-        rec.stats = stats;
-        result.history.push_back(rec);
-        result.final_accuracy = eval.avg_accuracy;
-        result.best_accuracy = std::max(result.best_accuracy,
-                                        eval.avg_accuracy);
-        if (callback) callback(round, rec);
-        common::log_debug(algo.name(), " round ", round, " acc ",
-                          eval.avg_accuracy);
-        if (opts.target_accuracy && !result.rounds_to_target &&
-            eval.avg_accuracy >= *opts.target_accuracy) {
-          result.rounds_to_target = round;
-          stop = true;
-        }
-      }
-
-      if (!stop && opts.checkpoint_every > 0 &&
-          round % opts.checkpoint_every == 0) {
-        SPATL_TRACE_SPAN("fl/checkpoint");
-        RunCheckpoint ckpt = write_checkpoint(round);
-        if (!opts.checkpoint_path.empty()) ckpt.save(opts.checkpoint_path);
-        if (store) {
-          // A rejected commit (ENOSPC, failed read-back verification) is
-          // counted and moved past — the previous generations still stand,
-          // and the in-memory snapshot below keeps the legacy path whole.
-          if (store->commit(round, ckpt)) {
-            ++result.store_commits;
-          } else {
-            ++result.store_commit_failures;
-          }
-        }
-        result.last_checkpoint = std::move(ckpt);
-        ++result.checkpoints_written;
-      }
+      sample(r);
+      admit(r);
+      train(r);
+      observe(r);
+      evaluate(r);
+      checkpoint(r);
     }
-
-    if (render_record) {
-      // One unified record per telemetry round: participation/failure
-      // stats, ledger byte deltas, robust-aggregation attribution,
-      // divergence-guard actions, and (when tracing) per-phase wall times.
-      const CommSnapshot delta = algo.ledger().snapshot().since(comm_start);
-      obs::JsonObject comm;
-      comm.add("uplink_bytes", delta.uplink)
-          .add("downlink_bytes", delta.downlink)
-          .add("retransmitted_bytes", delta.retransmitted)
-          .add("cumulative_bytes", algo.ledger().total_bytes());
-      obs::JsonObject rec;
-      rec.add("type", "round")
-          .add("algo", algo.name())
-          .add("round", std::uint64_t(round))
-          .add("selected", std::uint64_t(stats.selected))
-          .add("dropped", std::uint64_t(stats.dropped))
-          .add("stragglers", std::uint64_t(stats.stragglers))
-          .add("accepted", std::uint64_t(stats.accepted))
-          .add("rejected", std::uint64_t(stats.rejected_total()))
-          .add("retransmissions", std::uint64_t(stats.retransmissions))
-          .add("clipped", std::uint64_t(stats.clipped))
-          .add("parked", std::uint64_t(stats.parked))
-          .add("late_commits", std::uint64_t(stats.late_commits))
-          .add("buffer_depth", std::uint64_t(stats.buffer_depth))
-          .add("skipped", stats.skipped)
-          .add("rolled_back", stats.rolled_back)
-          .add("escalated", stats.escalated)
-          .add_raw("attackers", ids_array(stats.attackers))
-          .add_raw("suspects", ids_array(stats.suspects))
-          .add_raw("comm", comm.str());
-      // Feature-gated fields: each block appears only when its subsystem is
-      // configured, so a run with everything off emits byte-identical
-      // records to the pre-churn telemetry schema.
-      if (async_on) {
-        rec.add("dedup_dropped", std::uint64_t(stats.dedup_dropped));
-      }
-      if (churn) {
-        rec.add("enrolled", std::uint64_t(stats.enrolled))
-            .add("joined", std::uint64_t(stats.joined))
-            .add("left", std::uint64_t(stats.left))
-            .add("returned", std::uint64_t(stats.returned))
-            .add("returning_discounted",
-                 std::uint64_t(stats.returning_discounted));
-      }
-      if (admission_on) {
-        rec.add("shed", std::uint64_t(stats.shed))
-            .add("admission_deferred",
-                 std::uint64_t(stats.admission_deferred));
-      }
-      if (resilience.retry.backoff_base > 0.0) {
-        rec.add("backoff_wait", stats.backoff_wait);
-      }
-      if (stats.skipped) {
-        rec.add("skip_reason", skip_reason_name(stats.skip_reason));
-      }
-      if (stats.rolled_back) {
-        rec.add("fallback", aggregator_kind_name(opts.divergence_fallback));
-      }
-      if (stats.escalated) {
-        rec.add("aggregator", aggregator_kind_name(current.aggregator));
-      }
-      if (round_eval) {
-        rec.add_raw("eval",
-                    obs::JsonObject()
-                        .add("avg_accuracy", round_eval->avg_accuracy)
-                        .add("avg_loss", round_eval->avg_loss)
-                        .str());
-      }
-      if (tracer.enabled()) {
-        obs::JsonObject phases;
-        auto& registry = obs::MetricsRegistry::instance();
-        for (const auto& phase : tracer.phase_totals(trace_start)) {
-          phases.add_raw(phase.name, obs::JsonObject()
-                                         .add("total_ns", phase.total_ns)
-                                         .add("count", phase.count)
-                                         .str());
-          // Cumulative per-phase latency distribution (one sample per
-          // telemetry round) — lands in the end-of-run "metrics" record of
-          // the same JSONL stream via metrics_object(). The fixed-bucket
-          // histogram gives the coarse shape; the log-bucket sketch
-          // refines it into percentiles with bounded relative error.
-          if (histogram_phase(phase.name)) {
-            std::string metric = phase.name;
-            for (char& c : metric) {
-              if (c == '/') c = '.';
-            }
-            const double ms = double(phase.total_ns) / 1.0e6;
-            registry.histogram(metric + ".round_ms", phase_latency_bounds_ms())
-                .record(ms);
-            registry.sketch(metric + ".round_ms").record(ms);
-          }
-        }
-        rec.add_raw("phases", phases.str());
-      }
-      if (telemetry_round) opts.telemetry->write(rec);
-      if (flight_on) {
-        opts.flight->record_round(std::uint64_t(round), rec.str());
-      }
-    }
-
-    // Failover drill: lose the server at the end of this round, once. All
-    // in-memory progress since the last durable checkpoint is discarded and
-    // the loop resumes from the snapshot — the recovery path a real crash
-    // would take, exercised inside one run_federated call.
-    if (drills && round < crash_fired.size() &&
-        contains(opts.crash_at_rounds, round) && !crash_fired[round]) {
-      crash_fired[round] = 1;
-      // The flight window is most valuable at the moment of the crash —
-      // dump it before recovery rewinds the loop and overwrites history.
-      if (flight_on) opts.flight->dump("crash_drill", std::uint64_t(round));
-      std::size_t recovered = 0;
-      std::string crash_source;
-      if (store) {
-        // Durable-first recovery: a real crash loses the process, so the
-        // in-memory snapshot is off limits — the generational ladder
-        // decides what survives, and only when every generation is corrupt
-        // (or none was ever committed) does the drill fall back to the
-        // deterministic pre-loop baseline.
-        const store::RecoveryOutcome rec = store->recover_latest(
-            [&](const RunCheckpoint& c, const store::Generation&) {
-              recovered = restore_checkpoint(c);
-            });
-        result.recovery_attempts_failed += rec.failed_attempts;
-        if (rec.applied) {
-          ++result.recoveries_from_store;
-          crash_source = "store";
-        } else {
-          recovered = restore_checkpoint(baseline);
-          crash_source = "baseline";
-          if (flight_on) {
-            opts.flight->dump("recovery_exhausted", std::uint64_t(round));
-          }
-        }
-      } else {
-        const RunCheckpoint& source =
-            result.last_checkpoint.empty() ? baseline
-                                           : result.last_checkpoint;
-        recovered = restore_checkpoint(source);
-      }
-      ++result.crashes_injected;
-      while (!result.history.empty() &&
-             result.history.back().round > recovered) {
-        result.history.pop_back();
-      }
-      if (result.rounds_to_target && *result.rounds_to_target > recovered) {
-        result.rounds_to_target.reset();
-      }
-      stop = false;
-      if (opts.telemetry != nullptr) {
-        obs::JsonObject rec;
-        rec.add("type", "crash")
-            .add("algo", algo.name())
-            .add("round", std::uint64_t(round))
-            .add("recovered_to", std::uint64_t(recovered));
-        // Feature-gated so store-off crash records keep the legacy bytes.
-        if (!crash_source.empty()) rec.add("source", crash_source);
-        opts.telemetry->write(rec);
-      }
-      common::log_debug(algo.name(), " server crash injected at round ",
-                        round, ", recovered to round ", recovered);
-      round = recovered;  // the loop increment resumes at recovered + 1
+    emit(r);
+    if (const auto recovered = crash_drill(r)) {
+      round = *recovered;  // the loop increment resumes at recovered + 1
       continue;
     }
-    if (stop) break;
+    if (r.stop) break;
   }
-  result.comm = algo.ledger().snapshot();
-  result.total_bytes = result.comm.total();
-  result.retransmitted_bytes = result.comm.retransmitted;
-  result.buffered_remaining = algo.buffered_total();
-  if (async_on) algo.clear_async();
-  if (churn) algo.clear_churn();
-  if (defended) algo.clear_fault_injection();
-  return result;
+  result_.comm = algo_.ledger().snapshot();
+  result_.total_bytes = result_.comm.total();
+  result_.retransmitted_bytes = result_.comm.retransmitted;
+  result_.buffered_remaining = algo_.buffered_total();
+  if (async_on_) algo_.clear_async();
+  if (churn_) algo_.clear_churn();
+  if (defended_) algo_.clear_fault_injection();
+  return std::move(result_);
+}
+
+Round RoundLoop::begin(std::size_t round) {
+  Round r;
+  r.index = round;
+  const std::size_t stride = std::max<std::size_t>(1, opts_.telemetry_every);
+  r.telemetry = opts_.telemetry != nullptr &&
+                (round % stride == 0 || round == opts_.rounds);
+  // The flight recorder keeps EVERY round's rendered record in its ring
+  // (stride-independent), so a record is built whenever either consumer
+  // is attached.
+  r.render = r.telemetry || opts_.flight != nullptr;
+  if (r.render) {
+    r.comm_start = algo_.ledger().snapshot();
+    r.trace_start = obs::Tracer::instance().cursor();
+  }
+  // Membership events apply at round start regardless of what the round
+  // does afterwards (a skipped round still ages the population).
+  if (churn_) r.churn = churn_->advance(round);
+  return r;
+}
+
+void RoundLoop::sample(Round& r) {
+  SPATL_TRACE_SPAN("fl/sample");
+  // Draw from the pool — the enrolled clients under churn, else everyone —
+  // and map draw indices through it. The pool is ascending, so at full
+  // enrollment both are the identity map and draw the same sequence.
+  const std::vector<std::size_t>& pool =
+      churn_ ? churn_->enrolled() : all_clients_;
+  if (pool.empty()) return;
+  const std::size_t count = cohort_size(ratio_, pool.size());
+  if (opts_.fault_aware_sampling) {
+    // Selection weight shrinks with the failure EMA but never below the
+    // floor: flaky clients are down-weighted, not starved.
+    std::vector<double> weights(pool.size());
+    for (std::size_t k = 0; k < pool.size(); ++k) {
+      weights[k] =
+          std::max(kFaultSamplingFloor, 1.0 - state_.fail_ema[pool[k]]);
+    }
+    r.selected =
+        weighted_sample_without_replacement(state_.sampler, weights, count);
+  } else {
+    r.selected = state_.sampler.sample_without_replacement(pool.size(), count);
+  }
+  for (std::size_t& s : r.selected) s = pool[s];
+}
+
+void RoundLoop::admit(Round& r) {
+  // Budget-deferred clients join ahead of the fresh sample (they were
+  // already committed to this cohort; departing mid-queue drops them).
+  const bool admission_on = opts_.admission.limited();
+  if (admission_on && !state_.defer_queue.empty()) {
+    std::vector<std::size_t> merged;
+    merged.reserve(state_.defer_queue.size() + r.selected.size());
+    for (const std::size_t c : state_.defer_queue) {
+      if (churn_ && !churn_->is_enrolled(c)) continue;
+      if (!contains(merged, c)) merged.push_back(c);
+    }
+    for (const std::size_t c : r.selected) {
+      if (!contains(merged, c)) merged.push_back(c);
+    }
+    r.selected = std::move(merged);
+    state_.defer_queue.clear();
+  }
+
+  // Drop clients unavailable this round, flag stragglers.
+  RoundStats& admission = r.admission;
+  admission.selected = r.selected.size();
+  admission.joined = r.churn.joined;
+  admission.left = r.churn.left;
+  admission.returned = r.churn.returned;
+  if (churn_) admission.enrolled = churn_->enrolled().size();
+  if (faults_ && faults_->enabled()) {
+    r.active.reserve(r.selected.size());
+    for (const std::size_t i : r.selected) {
+      const ClientFault f = faults_->assess(r.index, i);
+      if (f.fate == ClientFate::kUnavailable) {
+        ++admission.dropped;
+        r.dropped_ids.push_back(i);
+        continue;
+      }
+      if (f.fate == ClientFate::kStraggler) ++admission.stragglers;
+      r.active.push_back(i);
+    }
+  } else {
+    r.active = r.selected;
+  }
+
+  // Overload admission control: cap the round's uplinks by participant
+  // count and estimated uplink bytes; excess clients — picked by a
+  // round-keyed rotation so no id is systematically starved — are shed
+  // outright or deferred into the next round's cohort.
+  if (!admission_on || r.active.empty()) return;
+  std::size_t cap = r.active.size();
+  if (opts_.admission.max_participants > 0) {
+    cap = std::min(cap, opts_.admission.max_participants);
+  }
+  if (opts_.admission.max_uplink_bytes > 0.0) {
+    const double per_uplink = 4.0 * double(algo_.uplink_cost_floats());
+    const std::size_t by_bytes =
+        per_uplink > 0.0
+            ? std::size_t(opts_.admission.max_uplink_bytes / per_uplink)
+            : r.active.size();
+    cap = std::min(cap, by_bytes);
+  }
+  const std::size_t n = r.active.size();
+  if (cap >= n) return;
+  // The n - cap slots starting at index round % n (wrapping) are excess.
+  const std::size_t start = r.index % n;
+  std::vector<std::size_t> kept;
+  std::vector<std::size_t> over;
+  for (std::size_t k = 0; k < n; ++k) {
+    ((k + n - start) % n < n - cap ? over : kept).push_back(r.active[k]);
+  }
+  r.active = std::move(kept);
+  if (opts_.admission.policy == AdmissionPolicy::kDefer) {
+    admission.admission_deferred = over.size();
+    state_.defer_queue = std::move(over);
+  } else {
+    admission.shed = over.size();
+  }
+  r.budget_exhausted = r.active.empty();
+}
+
+void RoundLoop::train(Round& r) {
+  r.stats = r.admission;
+  // Quorum gate: buffered updates due this round count toward the quorum —
+  // a round carried by late commits alone is still a round.
+  const std::size_t quorum = std::max<std::size_t>(1, resilience_.min_quorum);
+  const std::size_t due = async_on_ ? algo_.buffered_due(r.index) : 0;
+  if (r.active.size() + due < quorum) {
+    // Not enough live participants to even start: skip the round and
+    // leave the global model untouched (parked updates stay buffered and
+    // drain in the next round that clears admission).
+    r.stats.skipped = true;
+    r.stats.skip_reason = r.budget_exhausted ? SkipReason::kAdmissionBudget
+                                             : SkipReason::kAdmissionQuorum;
+    r.stats.buffer_depth = algo_.buffered_total();
+    common::log_debug(algo_.name(), " round ", r.index,
+                      " skipped below quorum (", r.active.size(), "+", due,
+                      "/", quorum, ", ",
+                      skip_reason_name(r.stats.skip_reason), ")");
+    return;
+  }
+  // Pre-round snapshot for the divergence guard: algorithm state plus
+  // ledger counters, so a rolled-back round leaves no trace (bytes are
+  // metered once, by the re-run).
+  const bool guard = opts_.divergence_factor > 0.0;
+  RunCheckpoint snapshot;
+  CommSnapshot ledger_snap;
+  if (guard) {
+    algo_.save_state(snapshot);
+    ledger_snap = algo_.ledger().snapshot();
+  }
+  // Churn piggybacks on the defended path's per-round stats plumbing
+  // (returning-client discounts are attributed in deliver_update);
+  // begin_round/round_stats never touch a float, so reading them on the
+  // clean-with-churn path costs nothing.
+  if (defended_ || churn_) algo_.begin_round(r.index, r.admission);
+  algo_.run_round(r.active);
+  if (defended_ || churn_) r.stats = algo_.round_stats();
+  if (!guard) return;
+
+  EvalSummary eval = algo_.evaluate_clients();
+  const bool exploded =
+      !std::isfinite(eval.avg_loss) ||
+      (std::isfinite(state_.prev_loss) && state_.prev_loss > 0.0 &&
+       eval.avg_loss > opts_.divergence_factor * state_.prev_loss);
+  if (exploded) {
+    common::log_debug(algo_.name(), " round ", r.index, " diverged (loss ",
+                      eval.avg_loss,
+                      "), rolling back and re-aggregating with ",
+                      aggregator_kind_name(kDivergenceFallback));
+    algo_.load_state(snapshot);
+    algo_.ledger().restore(ledger_snap);
+    ResilienceConfig fallback = current_;
+    fallback.aggregator = kDivergenceFallback;
+    arm(fallback);
+    algo_.begin_round(r.index, r.admission);
+    algo_.run_round(r.active);
+    r.stats = algo_.round_stats();
+    r.stats.rolled_back = true;
+    // Post-mortem window: the rounds that led into the explosion (this
+    // round's own record is rendered after the dump).
+    if (opts_.flight != nullptr) {
+      opts_.flight->dump("divergence_rollback", r.index);
+    }
+    if (defended_) {
+      arm(current_);
+    } else {
+      algo_.clear_fault_injection();
+    }
+    eval = algo_.evaluate_clients();
+  }
+  state_.prev_loss = eval.avg_loss;
+  r.guard_eval = eval;
+}
+
+void RoundLoop::observe(Round& r) {
+  RoundStats& stats = r.stats;
+  // Adaptive escalation (defended path only): this round ran under the
+  // rule selected so far; its stats then feed the tracker, and a trip
+  // upgrades the aggregator for every round that follows (one-way unless a
+  // quiet streak de-escalates).
+  stats.escalated = defended_ && state_.escalation.active();
+  using Action = EscalationTracker::Action;
+  const Action action =
+      defended_ ? state_.escalation.observe(stats) : Action::kNone;
+  if (action != Action::kNone) {
+    const bool up = action == Action::kEscalate;
+    current_.aggregator =
+        up ? opts_.escalation.aggregator : resilience_.aggregator;
+    arm(current_);
+    common::log_debug(algo_.name(), " round ", r.index,
+                      up ? " escalating aggregator to "
+                         : " quiet streak elapsed, de-escalating to ",
+                      aggregator_kind_name(current_.aggregator));
+  }
+  accumulate(result_, stats);
+
+  if (krum_auto_ && !stats.suspects.empty()) {
+    // One ledger tick per client per round, however many aggregate calls
+    // excluded it (multi-tensor algorithms may call the robust rule more
+    // than once).
+    std::vector<std::size_t> uniq = stats.suspects;
+    std::sort(uniq.begin(), uniq.end());
+    uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
+    for (const std::size_t c : uniq) {
+      if (c < num_clients_) ++state_.suspect_rounds[c];
+    }
+    retune_krum();
+  }
+
+  // Threshold->alert hook: derived per-round rates, fed only when a
+  // watcher is installed (pure observation).
+  if (opts_.alerts != nullptr) {
+    const double delivered =
+        double(std::max<std::size_t>(1, stats.delivered));
+    opts_.alerts->observe("fl.reject_rate",
+                          double(stats.rejected_total()) / delivered,
+                          std::uint64_t(r.index));
+    const double selected_base =
+        double(std::max<std::size_t>(1, stats.selected));
+    opts_.alerts->observe(
+        "fl.shed_rate",
+        double(stats.shed + stats.admission_deferred) / selected_base,
+        std::uint64_t(r.index));
+  }
+
+  if (opts_.fault_aware_sampling) {
+    const double decay = std::clamp(opts_.fault_ema_decay, 0.0, 1.0);
+    for (const std::size_t i : r.selected) {
+      const bool failed = contains(r.dropped_ids, i) ||
+                          contains(stats.rejected_clients, i);
+      state_.fail_ema[i] = decay * state_.fail_ema[i] +
+                           (1.0 - decay) * (failed ? 1.0 : 0.0);
+    }
+  }
+}
+
+void RoundLoop::evaluate(Round& r) {
+  if (r.index % opts_.eval_every != 0 && r.index != opts_.rounds) return;
+  const EvalSummary eval =
+      r.guard_eval ? *r.guard_eval : algo_.evaluate_clients();
+  r.eval = eval;
+  RoundRecord rec;
+  rec.round = r.index;
+  rec.avg_accuracy = eval.avg_accuracy;
+  rec.avg_loss = eval.avg_loss;
+  rec.cumulative_bytes = algo_.ledger().total_bytes();
+  rec.stats = r.stats;
+  result_.history.push_back(rec);
+  result_.final_accuracy = eval.avg_accuracy;
+  result_.best_accuracy = std::max(result_.best_accuracy, eval.avg_accuracy);
+  if (callback_) callback_(r.index, rec);
+  common::log_debug(algo_.name(), " round ", r.index, " acc ",
+                    eval.avg_accuracy);
+  if (opts_.target_accuracy && !result_.rounds_to_target &&
+      eval.avg_accuracy >= *opts_.target_accuracy) {
+    result_.rounds_to_target = r.index;
+    r.stop = true;
+  }
+}
+
+void RoundLoop::checkpoint(Round& r) {
+  if (r.stop || opts_.checkpoint_every == 0 ||
+      r.index % opts_.checkpoint_every != 0) {
+    return;
+  }
+  SPATL_TRACE_SPAN("fl/checkpoint");
+  RunCheckpoint ckpt = save(r.index);
+  if (store_) {
+    // A rejected commit (ENOSPC, failed read-back verification) is counted
+    // and moved past — the previous generations still stand, and the
+    // in-memory snapshot below stays whole.
+    if (store_->commit(r.index, ckpt)) {
+      ++result_.store_commits;
+    } else {
+      ++result_.store_commit_failures;
+    }
+  }
+  result_.last_checkpoint = std::move(ckpt);
+  ++result_.checkpoints_written;
+}
+
+void RoundLoop::emit(const Round& r) {
+  if (!r.render) return;
+  const RoundStats& stats = r.stats;
+  // One unified record per telemetry round: participation/failure stats,
+  // ledger byte deltas, robust-aggregation attribution, divergence-guard
+  // actions, and (when tracing) per-phase wall times.
+  const CommSnapshot delta = algo_.ledger().snapshot().since(r.comm_start);
+  obs::JsonObject comm;
+  comm.add("uplink_bytes", delta.uplink)
+      .add("downlink_bytes", delta.downlink)
+      .add("retransmitted_bytes", delta.retransmitted)
+      .add("cumulative_bytes", algo_.ledger().total_bytes());
+  obs::JsonObject rec;
+  rec.add("type", "round")
+      .add("algo", algo_.name())
+      .add("round", std::uint64_t(r.index))
+      .add("selected", std::uint64_t(stats.selected))
+      .add("dropped", std::uint64_t(stats.dropped))
+      .add("stragglers", std::uint64_t(stats.stragglers))
+      .add("accepted", std::uint64_t(stats.accepted))
+      .add("rejected", std::uint64_t(stats.rejected_total()))
+      .add("retransmissions", std::uint64_t(stats.retransmissions))
+      .add("clipped", std::uint64_t(stats.clipped))
+      .add("parked", std::uint64_t(stats.parked))
+      .add("late_commits", std::uint64_t(stats.late_commits))
+      .add("buffer_depth", std::uint64_t(stats.buffer_depth))
+      .add("skipped", stats.skipped)
+      .add("rolled_back", stats.rolled_back)
+      .add("escalated", stats.escalated)
+      .add_raw("attackers", ids_array(stats.attackers))
+      .add_raw("suspects", ids_array(stats.suspects))
+      .add_raw("comm", comm.str());
+  // Feature-gated fields: each block appears only when its subsystem is
+  // configured, so a run with everything off emits byte-identical records
+  // to the pre-churn telemetry schema.
+  if (async_on_) {
+    rec.add("dedup_dropped", std::uint64_t(stats.dedup_dropped));
+  }
+  if (churn_) {
+    rec.add("enrolled", std::uint64_t(stats.enrolled))
+        .add("joined", std::uint64_t(stats.joined))
+        .add("left", std::uint64_t(stats.left))
+        .add("returned", std::uint64_t(stats.returned))
+        .add("returning_discounted",
+             std::uint64_t(stats.returning_discounted));
+  }
+  if (opts_.admission.limited()) {
+    rec.add("shed", std::uint64_t(stats.shed))
+        .add("admission_deferred", std::uint64_t(stats.admission_deferred));
+  }
+  if (resilience_.retry.backoff_base > 0.0) {
+    rec.add("backoff_wait", stats.backoff_wait);
+  }
+  if (stats.skipped) {
+    rec.add("skip_reason", skip_reason_name(stats.skip_reason));
+  }
+  if (stats.rolled_back) {
+    rec.add("fallback", aggregator_kind_name(kDivergenceFallback));
+  }
+  if (stats.escalated) {
+    rec.add("aggregator", aggregator_kind_name(current_.aggregator));
+  }
+  if (r.eval) {
+    rec.add_raw("eval", obs::JsonObject()
+                            .add("avg_accuracy", r.eval->avg_accuracy)
+                            .add("avg_loss", r.eval->avg_loss)
+                            .str());
+  }
+  obs::Tracer& tracer = obs::Tracer::instance();
+  if (tracer.enabled()) {
+    obs::JsonObject phases;
+    auto& registry = obs::MetricsRegistry::instance();
+    for (const auto& phase : tracer.phase_totals(r.trace_start)) {
+      phases.add_raw(phase.name, obs::JsonObject()
+                                     .add("total_ns", phase.total_ns)
+                                     .add("count", phase.count)
+                                     .str());
+      // Cumulative per-phase latency sketch (one sample per rendered
+      // round) — lands in the end-of-run "metrics" record of the same
+      // JSONL stream via metrics_object() as p50–p99 percentiles.
+      if (sketched_phase(phase.name)) {
+        std::string metric = phase.name;
+        std::replace(metric.begin(), metric.end(), '/', '.');
+        registry.sketch(metric + ".round_ms")
+            .record(double(phase.total_ns) / 1.0e6);
+      }
+    }
+    rec.add_raw("phases", phases.str());
+  }
+  if (r.telemetry) opts_.telemetry->write(rec);
+  if (opts_.flight != nullptr) {
+    opts_.flight->record_round(std::uint64_t(r.index), rec.str());
+  }
+}
+
+std::optional<std::size_t> RoundLoop::crash_drill(const Round& r) {
+  // Failover drill: lose the server at the end of this round, once. All
+  // in-memory progress since the last durable checkpoint is discarded and
+  // the loop resumes from the snapshot — the recovery path a real crash
+  // would take, exercised inside one run_federated call.
+  const std::size_t round = r.index;
+  if (!contains(opts_.crash_at_rounds, round) || contains(crashed_, round)) {
+    return std::nullopt;
+  }
+  crashed_.push_back(round);
+  // The flight window is most valuable at the moment of the crash — dump
+  // it before recovery rewinds the loop and overwrites history.
+  if (opts_.flight != nullptr) {
+    opts_.flight->dump("crash_drill", std::uint64_t(round));
+  }
+  // Durable-first recovery: a real crash loses the process, so with a store
+  // the in-memory snapshot is off limits — the generational ladder decides
+  // what survives, and only when every generation is corrupt (or none was
+  // ever committed) does the drill fall back to the deterministic pre-loop
+  // baseline.
+  std::optional<std::size_t> recovered;
+  if (store_) recovered = recover_from_store();
+  const bool exhausted = store_ && !recovered;
+  if (!recovered) {
+    recovered = load(store_ || result_.last_checkpoint.empty()
+                         ? baseline_
+                         : result_.last_checkpoint);
+  }
+  if (exhausted && opts_.flight != nullptr) {
+    opts_.flight->dump("recovery_exhausted", std::uint64_t(round));
+  }
+  ++result_.crashes_injected;
+  while (!result_.history.empty() &&
+         result_.history.back().round > *recovered) {
+    result_.history.pop_back();
+  }
+  if (result_.rounds_to_target && *result_.rounds_to_target > *recovered) {
+    result_.rounds_to_target.reset();
+  }
+  if (opts_.telemetry != nullptr) {
+    obs::JsonObject rec;
+    rec.add("type", "crash")
+        .add("algo", algo_.name())
+        .add("round", std::uint64_t(round))
+        .add("recovered_to", std::uint64_t(*recovered));
+    // Feature-gated so store-off crash records keep the legacy bytes.
+    if (store_) rec.add("source", exhausted ? "baseline" : "store");
+    opts_.telemetry->write(rec);
+  }
+  common::log_debug(algo_.name(), " server crash injected at round ", round,
+                    ", recovered to round ", *recovered);
+  return recovered;
+}
+
+std::size_t RoundLoop::start_round() {
+  if (opts_.resume != nullptr && !opts_.resume->empty()) {
+    return load(*opts_.resume) + 1;
+  }
+  if (!store_ || !opts_.resume_from_store) return 1;
+  // Cross-run reuse: a fresh process pointed at an existing checkpoint
+  // directory resumes from the newest generation that survives the ladder.
+  // No generations (cold start) or all-corrupt starts at round 1 —
+  // identical to a run without the flag.
+  if (const auto recovered = recover_from_store()) return *recovered + 1;
+  if (result_.recovery_attempts_failed > 0 && opts_.flight != nullptr) {
+    // Every generation in the directory was rejected: the window is empty
+    // this early, but the exhaustion itself is worth a record.
+    opts_.flight->dump("recovery_exhausted", 0);
+  }
+  return 1;
+}
+
+/// Full-state snapshot after `round`: everything load-bearing for the
+/// remaining rounds, so a resume (or an injected crash recovery) replays
+/// the uninterrupted run bit for bit.
+RunCheckpoint RoundLoop::save(std::size_t round) const {
+  RunCheckpoint ckpt;
+  algo_.save_state(ckpt);
+  ckpt.entries.push_back(pack_u64s("run/round", {std::uint64_t(round)}));
+  ckpt.entries.push_back(pack_rng("run/sampler_rng", state_.sampler));
+  const CommSnapshot lg = algo_.ledger().snapshot();
+  ckpt.entries.push_back(pack_doubles(
+      "run/ledger", {lg.uplink, lg.downlink, lg.retransmitted}));
+  ckpt.entries.push_back(pack_doubles("run/ema", state_.fail_ema));
+  for (const RunCounter& c : kRunCounters) {
+    ckpt.entries.push_back(pack_u64s("run/total/" + std::string(c.name),
+                                     {std::uint64_t(result_.*c.total)}));
+  }
+  const std::pair<const char*, double> series[] = {
+      {"best_accuracy", result_.best_accuracy},
+      {"final_accuracy", result_.final_accuracy},
+      {"prev_loss", state_.prev_loss},
+      {"backoff_wait", result_.total_backoff_wait}};
+  for (const auto& [name, value] : series) {
+    ckpt.entries.push_back(
+        pack_doubles("run/series/" + std::string(name), {value}));
+  }
+  const EscalationTracker& esc = state_.escalation;
+  ckpt.entries.push_back(pack_u64s(
+      "run/escalation", {std::uint64_t(esc.streak()),
+                         std::uint64_t(esc.active() ? 1 : 0),
+                         std::uint64_t(esc.quiet_streak())}));
+  if (!state_.defer_queue.empty()) {
+    ckpt.entries.push_back(pack_u64s(
+        "run/admission_carryover",
+        std::vector<std::uint64_t>(state_.defer_queue.begin(),
+                                   state_.defer_queue.end())));
+  }
+  if (krum_auto_) {
+    ckpt.entries.push_back(pack_u64s("run/krum_ledger", state_.suspect_rounds));
+  }
+  if (churn_) churn_->save(ckpt, "run/churn/");
+  if (result_.total_giveups > 0) {
+    ckpt.entries.push_back(pack_u64s(
+        "run/giveups",
+        std::vector<std::uint64_t>(result_.client_giveups.begin(),
+                                   result_.client_giveups.end())));
+  }
+  return ckpt;
+}
+
+/// Inverse of save(): rebuild every piece of loop state from a snapshot,
+/// starting from a fresh LoopState. Returns the round the snapshot was
+/// taken after.
+std::size_t RoundLoop::load(const RunCheckpoint& ckpt) {
+  algo_.load_state(ckpt);
+  state_ = LoopState(opts_, num_clients_);
+  const std::size_t round =
+      std::size_t(unpack_u64s(ckpt.at("run/round")).at(0));
+  unpack_rng(ckpt.at("run/sampler_rng"), state_.sampler);
+  const auto lg = unpack_doubles(ckpt.at("run/ledger"));
+  algo_.ledger().restore(lg.at(0), lg.at(1), lg.at(2));
+  const auto ema = unpack_doubles(ckpt.at("run/ema"));
+  if (ema.size() == num_clients_) state_.fail_ema = ema;
+  for (const RunCounter& c : kRunCounters) {
+    const tensor::Tensor* t = ckpt.find("run/total/" + std::string(c.name));
+    result_.*c.total = t != nullptr ? std::size_t(unpack_u64s(*t).at(0)) : 0;
+  }
+  result_.best_accuracy = series_entry(ckpt, "best_accuracy", 0.0);
+  result_.final_accuracy = series_entry(ckpt, "final_accuracy", 0.0);
+  result_.total_backoff_wait = series_entry(ckpt, "backoff_wait", 0.0);
+  state_.prev_loss = series_entry(ckpt, "prev_loss", state_.prev_loss);
+  if (const auto* t = ckpt.find("run/escalation")) {
+    const auto esc = unpack_u64s(*t);
+    state_.escalation.restore(std::size_t(esc.at(0)), esc.at(1) != 0,
+                              std::size_t(esc.at(2)));
+  }
+  // Re-arm the aggregation rule the snapshot was running under — escalated
+  // or (after a crash that rolled past a de-escalation) the base rule.
+  current_ = resilience_;
+  if (defended_) {
+    if (state_.escalation.active()) {
+      current_.aggregator = opts_.escalation.aggregator;
+    }
+    arm(current_);
+  }
+  if (krum_auto_) {
+    if (const auto* t = ckpt.find("run/krum_ledger")) {
+      const auto v = unpack_u64s(*t);
+      std::copy_n(v.begin(), std::min(v.size(), num_clients_),
+                  state_.suspect_rounds.begin());
+    }
+    retune_krum();
+  }
+  if (const auto* t = ckpt.find("run/admission_carryover")) {
+    const auto q = unpack_u64s(*t);
+    state_.defer_queue.assign(q.begin(), q.end());
+  }
+  if (churn_) churn_->load(ckpt, "run/churn/");
+  result_.client_giveups.assign(num_clients_, 0);
+  if (const auto* t = ckpt.find("run/giveups")) {
+    const auto g = unpack_u64s(*t);
+    std::copy_n(g.begin(), std::min(g.size(), num_clients_),
+                result_.client_giveups.begin());
+  }
+  return round;
+}
+
+/// The recovery ladder, shared by start-up resume and the crash drill: load
+/// the newest generation that verifies and applies. Returns the round it
+/// was taken after, or nullopt when none did.
+std::optional<std::size_t> RoundLoop::recover_from_store() {
+  std::size_t recovered = 0;
+  const store::RecoveryOutcome rec = store_->recover_latest(
+      [this, &recovered](const RunCheckpoint& c, const store::Generation&) {
+        recovered = load(c);
+      });
+  result_.recovery_attempts_failed += rec.failed_attempts;
+  if (!rec.applied) return std::nullopt;
+  ++result_.recoveries_from_store;
+  return recovered;
+}
+
+/// Attack-aware Krum f: repeat suspects (excluded in >= 2 rounds) estimate
+/// the live Byzantine population; one-off exclusions are Krum's normal
+/// selection noise and are ignored.
+void RoundLoop::retune_krum() {
+  std::size_t estimate = 0;
+  for (const std::uint64_t r : state_.suspect_rounds) {
+    if (r >= 2) ++estimate;
+  }
+  // Krum needs n - f - 2 >= 1 scoring neighbours; clamp against the nominal
+  // cohort so a noisy ledger can never wedge the aggregator.
+  const std::size_t cohort = cohort_size(ratio_, num_clients_);
+  const std::size_t upper = cohort > 3 ? cohort - 3 : 0;
+  const std::size_t f =
+      std::max(resilience_.krum_f, std::min(estimate, upper));
+  result_.krum_f_estimate = f;
+  if (f == current_.krum_f) return;
+  current_.krum_f = f;
+  arm(current_);
+  common::log_debug(algo_.name(), " krum auto-tune: f -> ", f, " (",
+                    estimate, " repeat suspect(s))");
+}
+
+void RoundLoop::arm(const ResilienceConfig& rule) {
+  algo_.set_fault_injection(faults_ ? &*faults_ : nullptr, rule);
+}
+
+}  // namespace
+
+std::span<const RunCounter> run_counters() { return kRunCounters; }
+
+RunResult run_federated(FederatedAlgorithm& algo, const RunOptions& opts,
+                        const RoundCallback& callback) {
+  return RoundLoop(algo, opts, callback).run();
 }
 
 }  // namespace spatl::fl

@@ -14,6 +14,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -137,19 +138,17 @@ struct RunOptions {
 
   /// Fault-aware client sampling: track a per-client failure EMA (dropped,
   /// lost, or rejected uplinks count as failures) and down-weight flaky
-  /// clients during selection. Off = the legacy uniform
-  /// sample_without_replacement path, bit for bit.
+  /// clients during selection, never below a fixed floor of 0.15. Off = the
+  /// legacy uniform sample_without_replacement path, bit for bit.
   bool fault_aware_sampling = false;
   double fault_ema_decay = 0.9;         // history retained per round
-  double fault_sampling_floor = 0.15;   // minimum relative selection weight
 
   /// Crash-recoverable rounds: capture a full-state checkpoint every
-  /// `checkpoint_every` rounds (0 = off), written to `checkpoint_path` when
-  /// non-empty; the latest snapshot is also returned in RunResult. Passing
-  /// `resume` restores a prior snapshot before the loop and continues from
-  /// the following round, bit-identically to the uninterrupted run.
+  /// `checkpoint_every` rounds (0 = off), returned in RunResult and
+  /// committed to `ckpt_store` when one is configured. Passing `resume`
+  /// restores a prior snapshot before the loop and continues from the
+  /// following round, bit-identically to the uninterrupted run.
   std::size_t checkpoint_every = 0;
-  std::string checkpoint_path;
   const RunCheckpoint* resume = nullptr;  // not owned; may be null
 
   /// Durable generational checkpoint store (DESIGN.md §13): when set (and
@@ -186,9 +185,8 @@ struct RunOptions {
   /// Divergence guard: when > 0, evaluate after every round; if the average
   /// loss is non-finite or exceeds `divergence_factor` times the previous
   /// round's loss, roll the round back (model, control state, ledger) and
-  /// re-aggregate it with `divergence_fallback` instead. 0 = off.
+  /// re-aggregate it with the coordinate median instead. 0 = off.
   double divergence_factor = 0.0;
-  AggregatorKind divergence_fallback = AggregatorKind::kCoordinateMedian;
 
   /// Per-round telemetry sink (DESIGN.md §10): when non-null the runner
   /// appends one "round" JSONL record per `telemetry_every` rounds unifying
@@ -291,6 +289,20 @@ struct RunResult {
   /// derived from this snapshot rather than re-summed by hand).
   CommSnapshot comm;
 };
+
+/// One run total (DESIGN.md §8.5): its name, which is also its checkpoint
+/// key run/total/<name>; how one round's stats add to it; and the RunResult
+/// member it sums into.
+struct RunCounter {
+  const char* name;
+  std::size_t (*per_round)(const RoundStats&);
+  std::size_t RunResult::*total;
+};
+
+/// The run-counter table, one row per RunResult total. It drives
+/// accumulation and the checkpoint entries, so each total equals its row
+/// summed over the rounds the run kept in `history` (with eval_every = 1).
+std::span<const RunCounter> run_counters();
 
 using RoundCallback =
     std::function<void(std::size_t round, const RoundRecord&)>;

@@ -2,9 +2,7 @@
 
 #include <array>
 #include <cstring>
-#include <fstream>
 #include <limits>
-#include <sstream>
 
 #include "fl/store/error.hpp"
 
@@ -223,20 +221,6 @@ std::vector<tensor::NamedTensor> decode_checkpoint(const std::string& bytes,
     throw CheckpointError(path, "", "payload CRC mismatch");
   }
   return entries;
-}
-
-void save_legacy_checkpoint(const std::string& path,
-                            const std::vector<tensor::NamedTensor>& entries) {
-  std::ostringstream buf(std::ios::binary);
-  tensor::write_tensors(buf, entries);
-  atomic_write_file(default_store_io(), path, buf.str());
-}
-
-std::vector<tensor::NamedTensor> load_legacy_checkpoint(
-    const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw CheckpointError(path, "", "cannot open for reading");
-  return tensor::read_tensors(in);
 }
 
 }  // namespace spatl::fl::store

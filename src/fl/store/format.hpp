@@ -20,11 +20,6 @@
 // flip or truncation anywhere in the file is detected: body/header damage
 // fails the payload or entry CRC, footer damage fails the CRC comparison
 // or the footer magic.
-//
-// The legacy helpers keep RunCheckpoint::save/load on the original
-// un-enveloped tensor-container bytes (format compatibility for
-// --checkpoint/--resume files) while routing their writes through the
-// atomic tmp+rename protocol.
 #pragma once
 
 #include <cstddef>
@@ -32,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "fl/store/io.hpp"
 #include "tensor/serialize.hpp"
 
 namespace spatl::fl::store {
@@ -51,13 +45,5 @@ std::string encode_checkpoint(const std::vector<tensor::NamedTensor>& entries);
 /// structure, or CRC mismatch.
 std::vector<tensor::NamedTensor> decode_checkpoint(const std::string& bytes,
                                                    const std::string& path);
-
-/// Legacy checkpoint file (plain tensor container, no envelope), written
-/// through the atomic tmp+rename protocol. The final file bytes are
-/// identical to the historical direct write.
-void save_legacy_checkpoint(const std::string& path,
-                            const std::vector<tensor::NamedTensor>& entries);
-std::vector<tensor::NamedTensor> load_legacy_checkpoint(
-    const std::string& path);
 
 }  // namespace spatl::fl::store

@@ -107,8 +107,8 @@ struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
-  /// Quantile sketches (own name plane — a sketch may legitimately shadow
-  /// the fixed-bucket histogram it refines, e.g. "fl.train.round_ms").
+  /// Quantile sketches (own name plane, e.g. the runner's per-phase
+  /// "fl.train.round_ms" latency; a sketch may share a histogram's name).
   std::map<std::string, SketchSnapshot> sketches;
 };
 

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 
 #include "core/spatl.hpp"
@@ -116,18 +116,13 @@ TEST(CheckpointPack, RunCheckpointSaveLoadRoundTrips) {
   RunCheckpoint ckpt;
   ckpt.entries.push_back(pack_floats("a/w", {1.0f, 2.0f, 3.0f}));
   ckpt.entries.push_back(pack_u64s("a/round", {42}));
-  const std::string path = "ckpt_roundtrip_test.bin";
-  ckpt.save(path);
-  const RunCheckpoint loaded = RunCheckpoint::load(path);
-  std::remove(path.c_str());
 
-  ASSERT_EQ(loaded.entries.size(), 2u);
-  EXPECT_EQ(unpack_floats(loaded.at("a/w")),
+  EXPECT_EQ(unpack_floats(ckpt.at("a/w")),
             (std::vector<float>{1.0f, 2.0f, 3.0f}));
-  EXPECT_EQ(unpack_u64s(loaded.at("a/round")), (std::vector<std::uint64_t>{42}));
-  EXPECT_EQ(loaded.find("missing"), nullptr);
-  EXPECT_THROW(loaded.at("missing"), std::runtime_error);
-  EXPECT_FALSE(loaded.empty());
+  EXPECT_EQ(unpack_u64s(ckpt.at("a/round")), (std::vector<std::uint64_t>{42}));
+  EXPECT_EQ(ckpt.find("missing"), nullptr);
+  EXPECT_THROW(ckpt.at("missing"), std::runtime_error);
+  EXPECT_FALSE(ckpt.empty());
   EXPECT_TRUE(RunCheckpoint{}.empty());
 }
 
@@ -224,42 +219,6 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, ResumeBitIdentity,
                                            "fedadam", "fedavg+topk",
                                            "fedavg+int8", "local-only"));
 
-TEST(CheckpointResume, FileBackedCheckpointResumesIdentically) {
-  const auto source = small_source();
-  const std::string path = "ckpt_resume_test.bin";
-
-  common::Rng rng1(37);
-  FlEnvironment env1(source, 4, 0.5, 0.25, rng1);
-  auto straight = make_algorithm("fedavg", env1);
-  const auto full = run_federated(*straight, resume_options());
-
-  common::Rng rng2(37);
-  FlEnvironment env2(source, 4, 0.5, 0.25, rng2);
-  auto first = make_algorithm("fedavg", env2);
-  RunOptions leg1 = resume_options();
-  leg1.rounds = 2;
-  leg1.checkpoint_every = 2;
-  leg1.checkpoint_path = path;
-  run_federated(*first, leg1);
-
-  // The on-disk snapshot — not the in-memory one — feeds the resume.
-  const RunCheckpoint loaded = RunCheckpoint::load(path);
-  std::remove(path.c_str());
-  common::Rng rng3(37);
-  FlEnvironment env3(source, 4, 0.5, 0.25, rng3);
-  auto second = make_algorithm("fedavg", env3);
-  RunOptions leg2 = resume_options();
-  leg2.resume = &loaded;
-  const auto resumed = run_federated(*second, leg2);
-
-  const auto wa = global_weights(*straight);
-  const auto wb = global_weights(*second);
-  ASSERT_EQ(wa.size(), wb.size());
-  EXPECT_EQ(std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(float)), 0);
-  EXPECT_EQ(full.final_accuracy, resumed.final_accuracy);
-  EXPECT_EQ(full.total_bytes, resumed.total_bytes);
-}
-
 TEST(CheckpointResume, ChurnTraceAndParkedCohortSurviveResume) {
   // The hard case: the snapshot is taken with a NON-EMPTY churn trace (the
   // membership machine is mid-replay, clients departed and pending return
@@ -338,6 +297,114 @@ TEST(CheckpointResume, ChurnTraceAndParkedCohortSurviveResume) {
             resumed.total_returning_discounted);
 }
 
+// --------------------------------------------------- run-total conservation --
+
+RunOptions busy_options() {
+  RunOptions opts;
+  opts.rounds = 6;
+  opts.eval_every = 1;
+  opts.sample_ratio = 0.75;
+  opts.sampling_seed = 9;
+  opts.fault_aware_sampling = true;
+  FaultConfig fc;
+  fc.dropout_rate = 0.15;
+  fc.loss_rate = 0.3;
+  fc.straggler_rate = 0.5;
+  fc.slowdown_factor = 3.0;
+  fc.round_deadline = 2.0;
+  fc.byzantine_clients = {1, 0, 0, 0, 0, 0};
+  fc.attack_kind = AttackKind::kScale;
+  fc.attack_scale = 2.0;
+  fc.seed = 400;
+  opts.faults = fc;
+  ResilienceConfig rc;
+  rc.aggregator = AggregatorKind::kCoordinateMedian;
+  rc.retry.max_retries = 1;
+  rc.retry.backoff_base = 0.5;
+  opts.resilience = rc;
+  AsyncConfig ac;
+  ac.enabled = true;
+  ac.max_lag = 3;
+  opts.async = ac;
+  ChurnConfig cc;
+  cc.initial_fraction = 0.75;
+  cc.join_rate = 0.4;
+  cc.leave_rate = 0.3;
+  cc.return_rate = 0.5;
+  cc.seed = 99;
+  opts.churn = cc;
+  opts.admission.max_participants = 2;
+  opts.admission.policy = AdmissionPolicy::kDefer;
+  return opts;
+}
+
+/// Every counter-table total equals its row summed over the round records,
+/// and every parked update is committed, still buffered, or superseded.
+void expect_conserved(const RunResult& result) {
+  for (const RunCounter& c : run_counters()) {
+    std::size_t summed = 0;
+    for (const RoundRecord& rec : result.history) {
+      summed += c.per_round(rec.stats);
+    }
+    EXPECT_EQ(result.*c.total, summed) << c.name;
+  }
+  EXPECT_EQ(result.total_parked, result.total_late_commits +
+                                     result.buffered_remaining +
+                                     result.total_dedup_dropped);
+}
+
+TEST(RunTotals, ConservedInStraightAndCrashRecoveredRuns) {
+  const auto source = small_source();
+  common::Rng rng1(37);
+  FlEnvironment env1(source, 6, 0.5, 0.25, rng1);
+  auto straight = make_algorithm("fedavg", env1);
+  const auto full = run_federated(*straight, busy_options());
+  ASSERT_EQ(full.history.size(), 6u);
+  // The scenario must exercise the subsystems the table counts.
+  ASSERT_GT(full.total_dropped, 0u);
+  ASSERT_GT(full.total_stragglers, 0u);
+  ASSERT_GT(full.total_parked, 0u);
+  ASSERT_GT(full.total_attacked, 0u);
+  ASSERT_GT(full.total_deferred, 0u);
+  ASSERT_GT(full.total_joined + full.total_left + full.total_returned, 0u);
+  ASSERT_GT(full.total_retransmissions, 0u);
+  expect_conserved(full);
+
+  // Twin: crash after round 3 and recover from the round-2 store generation,
+  // which carries a budget-deferred client into round 3.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "spatl_run_totals_test";
+  std::filesystem::remove_all(dir);
+  common::Rng rng2(37);
+  FlEnvironment env2(source, 6, 0.5, 0.25, rng2);
+  auto crashed = make_algorithm("fedavg", env2);
+  RunOptions opts = busy_options();
+  opts.checkpoint_every = 2;
+  opts.crash_at_rounds = {3};
+  store::StoreConfig sc;
+  sc.dir = dir.string();
+  opts.ckpt_store = sc;
+  const auto twin = run_federated(*crashed, opts);
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(twin.crashes_injected, 1u);
+  ASSERT_EQ(twin.recoveries_from_store, 1u);
+  expect_conserved(twin);
+
+  // The recovered loop state replays the lost rounds exactly, so the twin
+  // ends on the straight run's totals, not merely self-consistent ones.
+  for (const RunCounter& c : run_counters()) {
+    EXPECT_EQ(twin.*c.total, full.*c.total) << c.name;
+  }
+  EXPECT_EQ(twin.total_backoff_wait, full.total_backoff_wait);
+  EXPECT_EQ(twin.client_giveups, full.client_giveups);
+  EXPECT_EQ(twin.buffered_remaining, full.buffered_remaining);
+  EXPECT_EQ(twin.final_accuracy, full.final_accuracy);
+  const auto wa = global_weights(*straight);
+  const auto wb = global_weights(*crashed);
+  ASSERT_EQ(wa.size(), wb.size());
+  EXPECT_EQ(std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(float)), 0);
+}
+
 // --------------------------------------------------------- divergence guard --
 
 TEST(DivergenceGuard, RollsBackExplodedRoundsAndReaggregatesRobustly) {
@@ -360,7 +427,6 @@ TEST(DivergenceGuard, RollsBackExplodedRoundsAndReaggregatesRobustly) {
   rc.aggregator = AggregatorKind::kWeightedMean;
   opts.resilience = rc;
   opts.divergence_factor = 2.0;
-  opts.divergence_fallback = AggregatorKind::kCoordinateMedian;
 
   const auto result = run_federated(algo, opts);
   EXPECT_GT(result.rounds_rolled_back, 0u);

@@ -215,24 +215,6 @@ TEST(CheckpointPackValidation, SeededPropertyRoundTrip) {
   }
 }
 
-TEST(CheckpointPackValidation, LegacySaveIsAtomicAndByteStable) {
-  // RunCheckpoint::save now routes through tmp+rename, but the final file
-  // bytes must stay exactly the historical tensor-container stream.
-  ScratchDir dir("legacy");
-  RunCheckpoint ckpt;
-  ckpt.entries = sample_entries();
-  const std::string path = dir.file("legacy.bin");
-  ckpt.save(path);
-  EXPECT_FALSE(fs::exists(path + ".tmp"));  // tmp renamed away
-
-  std::ostringstream direct;
-  tensor::write_tensors(direct, ckpt.entries);
-  EXPECT_EQ(slurp(path), direct.str());
-  expect_same_entries(ckpt.entries, RunCheckpoint::load(path).entries);
-  EXPECT_THROW(RunCheckpoint::load(dir.file("missing.bin")),
-               store::CheckpointError);
-}
-
 // -------------------------------------------------------- generation store --
 
 RunCheckpoint tiny_checkpoint(std::uint64_t round) {

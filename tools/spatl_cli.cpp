@@ -82,10 +82,9 @@ int usage() {
                "           [--trim-fraction F] [--krum-f N] [--multi-krum N]\n"
                "           [--clip-norm F] [--krum-auto-f]\n"
                "           recovery / sampling:\n"
-               "           [--checkpoint-every K] [--checkpoint-path FILE]\n"
-               "           [--ckpt-dir DIR] [--ckpt-keep K] [--ckpt-verify]\n"
-               "           [--no-store-resume]\n"
-               "           [--resume FILE] [--divergence-factor F]\n"
+               "           [--checkpoint-every K] [--ckpt-dir DIR]\n"
+               "           [--ckpt-keep K] [--ckpt-verify] [--no-store-resume]\n"
+               "           [--divergence-factor F]\n"
                "           [--fault-aware-sampling] [--fault-ema-decay F]\n"
                "           telemetry (observation only):\n"
                "           [--metrics-out FILE.jsonl] [--telemetry-every N]\n"
@@ -154,10 +153,9 @@ int cmd_train(const common::Flags& flags) {
   std::vector<std::string> known = {
       "algo", "clients", "rounds", "beta", "seed", "epochs", "lr", "budget",
       "topk", "sample-ratio", "out", "crash-at", "checkpoint-every",
-      "checkpoint-path", "ckpt-dir", "ckpt-keep", "ckpt-verify",
-      "no-store-resume", "resume", "divergence-factor", "metrics-out",
-      "telemetry-every", "trace-out", "flight-window", "alert-reject-rate",
-      "alert-shed-rate"};
+      "ckpt-dir", "ckpt-keep", "ckpt-verify", "no-store-resume",
+      "divergence-factor", "metrics-out", "telemetry-every", "trace-out",
+      "flight-window", "alert-reject-rate", "alert-shed-rate"};
   known.insert(known.end(), kUplinkFlags.begin(), kUplinkFlags.end());
   check_flags(flags, known);
   const std::string algo = flags.get("algo", "spatl");
@@ -313,7 +311,6 @@ int cmd_train(const common::Flags& flags) {
   ro.fault_ema_decay =
       flags.get_double("fault-ema-decay", ro.fault_ema_decay);
   ro.checkpoint_every = std::size_t(flags.get_int("checkpoint-every", 0));
-  ro.checkpoint_path = flags.get("checkpoint-path");
   // Durable generational store (DESIGN.md §13): --ckpt-dir turns it on;
   // commits happen on the --checkpoint-every cadence.
   const std::string ckpt_dir = flags.get("ckpt-dir");
@@ -324,20 +321,12 @@ int cmd_train(const common::Flags& flags) {
     sc.verify_on_commit = flags.get_bool("ckpt-verify", false);
     ro.ckpt_store = sc;
     // Cross-run reuse: pointing a fresh process at the same directory
-    // resumes from the newest valid generation automatically. An explicit
-    // --resume snapshot wins; --no-store-resume forces a cold start.
-    ro.resume_from_store = flags.get("resume").empty() &&
-                           !flags.get_bool("no-store-resume", false);
+    // resumes from the newest valid generation automatically;
+    // --no-store-resume forces a cold start.
+    ro.resume_from_store = !flags.get_bool("no-store-resume", false);
   }
   ro.krum_auto_f = flags.get_bool("krum-auto-f", false);
   ro.divergence_factor = flags.get_double("divergence-factor", 0.0);
-  fl::RunCheckpoint resume_ckpt;
-  const std::string resume_path = flags.get("resume");
-  if (!resume_path.empty()) {
-    resume_ckpt = fl::RunCheckpoint::load(resume_path);
-    ro.resume = &resume_ckpt;
-    std::printf("resuming from %s\n", resume_path.c_str());
-  }
 
   // Telemetry (DESIGN.md §10). Observation only: attaching the sink or
   // enabling the tracer never changes a float of the run.
@@ -457,9 +446,7 @@ int cmd_train(const common::Flags& flags) {
                 flight->dumps(), flight->window_size(), flight->rounds_seen());
   }
   if (result.checkpoints_written > 0) {
-    std::printf("checkpoints: %zu written%s%s\n", result.checkpoints_written,
-                ro.checkpoint_path.empty() ? "" : " to ",
-                ro.checkpoint_path.c_str());
+    std::printf("checkpoints: %zu written\n", result.checkpoints_written);
   }
   if (telemetry != nullptr) {
     obs::JsonObject rec;
