@@ -445,75 +445,46 @@ std::vector<double> SpatlAlgorithm::client_sparsities() const {
   return out;
 }
 
-void SpatlAlgorithm::save_state(fl::RunCheckpoint& out) {
-  fl::FederatedAlgorithm::save_state(out);
-  out.entries.push_back(fl::pack_floats("spatl/c", server_control_));
-  out.entries.push_back(
-      fl::pack_u64s("spatl/round", {std::uint64_t(round_)}));
+void SpatlAlgorithm::state(fl::StateArchive& ar) {
+  fl::FederatedAlgorithm::state(ar);
+  ar.floats("spatl/c", server_control_);
+  ar.u64("spatl/round", round_);
   for (std::size_t i = 0; i < clients_.size(); ++i) {
-    const auto& c = clients_[i];
-    if (!c) continue;
+    // Only materialized clients travel, keyed on their weights entry; a
+    // slot absent from the snapshot is reset and recreated lazily on first
+    // use, which is deterministic by construction.
+    std::vector<float> w;
+    if (clients_[i]) w = nn::flatten_values(clients_[i]->model.all_params());
     const std::string p = "spatl/client/" + std::to_string(i) + "/";
-    out.entries.push_back(
-        fl::pack_floats(p + "w", nn::flatten_values(c->model.all_params())));
-    out.entries.push_back(
-        fl::pack_floats(p + "bn", fl::flatten_bn_stats(c->model)));
-    out.entries.push_back(fl::pack_floats(p + "c", c->control));
-    out.entries.push_back(
-        fl::pack_u64s(p + "part", {std::uint64_t(c->participations)}));
-    out.entries.push_back(fl::pack_doubles(
-        p + "metrics", {c->last_flops_ratio, c->last_sparsity}));
-    rl::PpoAgent& agent = *c->agent;
-    out.entries.push_back(fl::pack_floats(
-        p + "agent/net", nn::flatten_values(agent.network().all_params())));
-    out.entries.push_back(fl::pack_floats(
-        p + "agent/m", flatten_nested(agent.adam().first_moments())));
-    out.entries.push_back(fl::pack_floats(
-        p + "agent/v", flatten_nested(agent.adam().second_moments())));
-    out.entries.push_back(
-        fl::pack_u64s(p + "agent/t", {std::uint64_t(agent.adam().step_count())}));
-    out.entries.push_back(fl::pack_u64s(
-        p + "agent/finetune", {std::uint64_t(agent.finetune() ? 1 : 0)}));
-    out.entries.push_back(fl::pack_rng(p + "agent/rng", agent.rng()));
-  }
-}
-
-void SpatlAlgorithm::load_state(const fl::RunCheckpoint& in) {
-  fl::FederatedAlgorithm::load_state(in);
-  server_control_ = fl::unpack_floats(in.at("spatl/c"));
-  round_ = std::size_t(fl::unpack_u64s(in.at("spatl/round"))[0]);
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    const std::string p = "spatl/client/" + std::to_string(i) + "/";
-    const tensor::Tensor* w = in.find(p + "w");
-    if (w == nullptr) {
-      // Not materialized at capture time; recreate lazily on first use.
+    if (!ar.optional(clients_[i] != nullptr).floats(p + "w", w)) {
       clients_[i].reset();
       continue;
     }
-    SpatlClientState& state = client_state(i);
-    auto views = state.model.all_params();
-    nn::unflatten_values(fl::unpack_floats(*w), views);
-    fl::unflatten_bn_stats(fl::unpack_floats(in.at(p + "bn")), state.model);
-    state.control = fl::unpack_floats(in.at(p + "c"));
-    state.participations =
-        std::size_t(fl::unpack_u64s(in.at(p + "part"))[0]);
-    const auto metrics = fl::unpack_doubles(in.at(p + "metrics"));
-    state.last_flops_ratio = metrics[0];
-    state.last_sparsity = metrics[1];
-    rl::PpoAgent& agent = *state.agent;
-    // Finetune first: flipping it rebinds the optimizer to the matching
-    // trainable set, so the moment layout below lines up.
-    agent.set_finetune(fl::unpack_u64s(in.at(p + "agent/finetune"))[0] != 0);
-    auto net_views = agent.network().all_params();
-    nn::unflatten_values(fl::unpack_floats(in.at(p + "agent/net")),
-                         net_views);
-    restore_nested(fl::unpack_floats(in.at(p + "agent/m")),
-                   agent.adam().first_moments());
-    restore_nested(fl::unpack_floats(in.at(p + "agent/v")),
-                   agent.adam().second_moments());
-    agent.adam().set_step_count(
-        std::int64_t(fl::unpack_u64s(in.at(p + "agent/t"))[0]));
-    fl::unpack_rng(in.at(p + "agent/rng"), agent.rng());
+    SpatlClientState& c = client_state(i);
+    if (ar.loading()) nn::unflatten_values(w, c.model.all_params());
+    fl::walk_bn(ar, p + "bn", c.model);
+    ar.floats(p + "c", c.control);
+    ar.u64(p + "part", c.participations);
+    ar.f64(p + "metrics", c.last_flops_ratio, c.last_sparsity);
+    rl::PpoAgent& agent = *c.agent;
+    fl::walk_params(ar, p + "agent/net", agent.network().all_params());
+    std::vector<float> m = flatten_nested(agent.adam().first_moments());
+    std::vector<float> v = flatten_nested(agent.adam().second_moments());
+    std::int64_t t = agent.adam().step_count();
+    bool finetune = agent.finetune();
+    ar.floats(p + "agent/m", m);
+    ar.floats(p + "agent/v", v);
+    ar.u64(p + "agent/t", t);
+    ar.u64(p + "agent/finetune", finetune);
+    ar.rng(p + "agent/rng", agent.rng());
+    if (ar.loading()) {
+      // Finetune first: flipping it rebinds the optimizer to the matching
+      // trainable set, so the moment layout below lines up.
+      agent.set_finetune(finetune);
+      restore_nested(m, agent.adam().first_moments());
+      restore_nested(v, agent.adam().second_moments());
+      agent.adam().set_step_count(t);
+    }
   }
 }
 

@@ -42,15 +42,18 @@ struct SpatlOptions {
 /// Persistent client-side state: the private predictor (and BN statistics)
 /// live inside `model`; `control` is c_i; `agent` is the locally customized
 /// salient-parameter selector.
+// ckpt-struct: spatl/client/<i>/
 struct SpatlClientState {
-  models::SplitModel model;
-  std::vector<float> control;  // c_i over encoder params
+  models::SplitModel model;    // ckpt: w, bn
+  std::vector<float> control;  // ckpt: c (c_i over encoder params)
+  // ckpt: agent/net, agent/m, agent/v, agent/t, agent/finetune, agent/rng
   std::unique_ptr<rl::PpoAgent> agent;
-  std::size_t participations = 0;
-  double last_flops_ratio = 1.0;
-  double last_sparsity = 0.0;
+  std::size_t participations = 0;  // ckpt: part
+  double last_flops_ratio = 1.0;   // ckpt: metrics
+  double last_sparsity = 0.0;      // ckpt: metrics
 };
 
+// ckpt-struct: spatl/
 class SpatlAlgorithm : public fl::FederatedAlgorithm {
  public:
   /// `pretrained_agent` is the network-pruning-pretrained selector that
@@ -87,13 +90,12 @@ class SpatlAlgorithm : public fl::FederatedAlgorithm {
 
   std::size_t current_round() const { return round_; }
 
-  /// Crash-recoverable rounds: captures the round counter, server control
+  /// Crash-recoverable rounds: walks the round counter, server control
   /// variate, and every materialized client's model, BN statistics, control
   /// variate, and PPO agent (network, Adam moments, RNG cursor). Clients
   /// not yet materialized at capture time are recreated lazily after
   /// restore, which is deterministic by construction.
-  void save_state(fl::RunCheckpoint& out) override;
-  void load_state(const fl::RunCheckpoint& in) override;
+  void state(fl::StateArchive& ar) override;
 
  private:
   // Client-round skeleton hooks. The round base is the flat shared vector
@@ -115,12 +117,16 @@ class SpatlAlgorithm : public fl::FederatedAlgorithm {
   std::vector<std::uint8_t> upload_mask(models::SplitModel& model,
                                         std::size_t shared_dim) const;
 
-  SpatlOptions options_;
+  SpatlOptions options_;  // ckpt: none(configuration)
+  // ckpt: none(cloned from the caller's pretrained selector at construction)
   std::unique_ptr<rl::PpoAgent> pretrained_;
+  // Lazily built per client; a slot travels keyed on its weights entry.
+  // ckpt: w (then SpatlClientState's keys, under spatl/client/<i>/)
   std::vector<std::unique_ptr<SpatlClientState>> clients_;
-  std::vector<float> server_control_;  // c over encoder params
-  std::size_t round_ = 0;
-  std::vector<float> payload_ref_;  // the uploading client's payload center
+  std::vector<float> server_control_;  // ckpt: spatl/c (c over encoder params)
+  std::size_t round_ = 0;              // ckpt: spatl/round
+  // ckpt: none(the uploading client's payload center, per-upload scratch)
+  std::vector<float> payload_ref_;
 };
 
 }  // namespace spatl::core

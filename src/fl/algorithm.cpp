@@ -230,19 +230,21 @@ FederatedAlgorithm::Delivery FederatedAlgorithm::deliver_update(
 }
 
 void FederatedAlgorithm::save_state(RunCheckpoint& out) {
-  out.entries.push_back(
-      pack_floats("algo/w", nn::flatten_values(global_.all_params())));
-  out.entries.push_back(pack_floats("algo/bn", flatten_bn_stats(global_)));
-  // Parked straggler updates travel with the model so a resumed run replays
-  // the same late commits; nothing is written when the buffer is empty.
-  buffer_.save(out, "algo/async/");
+  StateArchive ar = StateArchive::save_to(out);
+  state(ar);
 }
 
 void FederatedAlgorithm::load_state(const RunCheckpoint& in) {
-  auto views = global_.all_params();
-  nn::unflatten_values(unpack_floats(in.at("algo/w")), views);
-  unflatten_bn_stats(unpack_floats(in.at("algo/bn")), global_);
-  buffer_.load(in, "algo/async/");
+  StateArchive ar = StateArchive::load_from(in);
+  state(ar);
+}
+
+void FederatedAlgorithm::state(StateArchive& ar) {
+  walk_params(ar, "algo/w", global_.all_params());
+  walk_bn(ar, "algo/bn", global_);
+  // Parked straggler updates travel with the model so a resumed run replays
+  // the same late commits.
+  buffer_.state(ar, "algo/async/");
 }
 
 bool FederatedAlgorithm::quorum_met(std::size_t accepted_count) {
@@ -644,23 +646,13 @@ void Scaffold::combine(std::vector<Contribution>& accepted,
   axpy(server_c_, dc_accum, 1.0f / float(env_.num_clients()));
 }
 
-void Scaffold::save_state(RunCheckpoint& out) {
-  FederatedAlgorithm::save_state(out);
-  out.entries.push_back(pack_floats("algo/scaffold/c", server_c_));
+void Scaffold::state(StateArchive& ar) {
+  FederatedAlgorithm::state(ar);
+  ar.floats("algo/scaffold/c", server_c_);
   // Lazily-initialized per-client variates: only materialized ones travel.
   for (std::size_t i = 0; i < client_c_.size(); ++i) {
-    if (client_c_[i].empty()) continue;
-    out.entries.push_back(
-        pack_floats("algo/scaffold/ci/" + std::to_string(i), client_c_[i]));
-  }
-}
-
-void Scaffold::load_state(const RunCheckpoint& in) {
-  FederatedAlgorithm::load_state(in);
-  server_c_ = unpack_floats(in.at("algo/scaffold/c"));
-  for (std::size_t i = 0; i < client_c_.size(); ++i) {
-    const tensor::Tensor* t = in.find("algo/scaffold/ci/" + std::to_string(i));
-    client_c_[i] = (t != nullptr) ? unpack_floats(*t) : std::vector<float>{};
+    ar.optional(!client_c_[i].empty())
+        .floats("algo/scaffold/ci/" + std::to_string(i), client_c_[i]);
   }
 }
 

@@ -138,11 +138,14 @@ class FederatedAlgorithm {
   const RoundStats& round_stats() const { return stats_; }
 
   /// Capture / restore the algorithm's complete mutable state for
-  /// crash-recoverable rounds. The base class handles the global flat
-  /// weights and BN statistics ("algo/w", "algo/bn"); subclasses with
-  /// additional server or per-client state override both and call the base.
-  virtual void save_state(RunCheckpoint& out);
-  virtual void load_state(const RunCheckpoint& in);
+  /// crash-recoverable rounds: state() in one direction or the other.
+  void save_state(RunCheckpoint& out);
+  void load_state(const RunCheckpoint& in);
+  /// The one walk over the algorithm's checkpointed state (DESIGN.md §8.4).
+  /// The base walks the global flat weights and BN statistics ("algo/w",
+  /// "algo/bn") and the straggler buffer; subclasses with more server or
+  /// per-client state walk the base first, then their own.
+  virtual void state(StateArchive& ar);
 
  protected:
   // ---- round hooks (called by run_round, in this order) ----
@@ -312,8 +315,7 @@ class Scaffold : public FederatedAlgorithm {
  public:
   Scaffold(FlEnvironment& env, FlConfig config);
   std::string name() const override { return "scaffold"; }
-  void save_state(RunCheckpoint& out) override;
-  void load_state(const RunCheckpoint& in) override;
+  void state(StateArchive& ar) override;
   /// Delta weights + delta control variate: ~2x FedAvg per uplink.
   std::size_t uplink_cost_floats() override {
     return 2 * FederatedAlgorithm::uplink_cost_floats();

@@ -68,57 +68,22 @@ std::size_t StragglerBuffer::due_count(std::size_t round) const {
   return n;
 }
 
-void StragglerBuffer::save(RunCheckpoint& out,
-                           const std::string& prefix) const {
-  if (entries_.empty()) return;  // pre-async checkpoints stay byte-identical
-  out.entries.push_back(
-      pack_u64s(prefix + "n", {std::uint64_t(entries_.size())}));
-  for (std::size_t k = 0; k < entries_.size(); ++k) {
-    const BufferedUpdate& e = entries_[k];
+void StragglerBuffer::state(StateArchive& ar, const std::string& prefix) {
+  std::size_t n = entries_.size();
+  ar.optional(n > 0).u64(prefix + "n", n);
+  // Entries travel in buffer order, which is already the
+  // (commit_round, source_round, client) order park() maintains. A load
+  // starts every entry fresh, so absent optional fields stay empty.
+  if (ar.loading()) entries_.assign(n, BufferedUpdate{});
+  for (std::size_t k = 0; k < n; ++k) {
+    BufferedUpdate& e = entries_[k];
     const std::string base = prefix + std::to_string(k) + "/";
-    out.entries.push_back(pack_u64s(
-        base + "meta", {std::uint64_t(e.client), std::uint64_t(e.source_round),
-                        std::uint64_t(e.commit_round)}));
-    out.entries.push_back(pack_doubles(base + "tau", {e.tau}));
-    if (!e.values.empty()) {
-      out.entries.push_back(pack_floats(base + "values", e.values));
-    }
-    if (!e.bn.empty()) out.entries.push_back(pack_floats(base + "bn", e.bn));
-    if (!e.aux.empty()) out.entries.push_back(pack_floats(base + "aux", e.aux));
-    if (!e.mask.empty()) {
-      std::vector<float> m(e.mask.begin(), e.mask.end());
-      out.entries.push_back(pack_floats(base + "mask", m));
-    }
-  }
-}
-
-void StragglerBuffer::load(const RunCheckpoint& in, const std::string& prefix) {
-  entries_.clear();
-  const tensor::Tensor* n = in.find(prefix + "n");
-  if (n == nullptr) return;  // checkpoint predates async or buffer was empty
-  const std::size_t count = std::size_t(unpack_u64s(*n)[0]);
-  entries_.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::string base = prefix + std::to_string(k) + "/";
-    BufferedUpdate e;
-    const auto meta = unpack_u64s(in.at(base + "meta"));
-    e.client = std::size_t(meta[0]);
-    e.source_round = std::size_t(meta[1]);
-    e.commit_round = std::size_t(meta[2]);
-    e.tau = unpack_doubles(in.at(base + "tau"))[0];
-    if (const auto* t = in.find(base + "values")) e.values = unpack_floats(*t);
-    if (const auto* t = in.find(base + "bn")) e.bn = unpack_floats(*t);
-    if (const auto* t = in.find(base + "aux")) e.aux = unpack_floats(*t);
-    if (const auto* t = in.find(base + "mask")) {
-      const auto m = unpack_floats(*t);
-      e.mask.assign(m.size(), 0);
-      for (std::size_t j = 0; j < m.size(); ++j) {
-        e.mask[j] = std::uint8_t(m[j] != 0.0f);
-      }
-    }
-    // Entries were saved in buffer order, which is already the
-    // (commit_round, source_round, client) order park() maintains.
-    entries_.push_back(std::move(e));
+    ar.u64(base + "meta", e.client, e.source_round, e.commit_round);
+    ar.f64(base + "tau", e.tau);
+    ar.optional(!e.values.empty()).floats(base + "values", e.values);
+    ar.optional(!e.bn.empty()).floats(base + "bn", e.bn);
+    ar.optional(!e.aux.empty()).floats(base + "aux", e.aux);
+    ar.optional(!e.mask.empty()).floats(base + "mask", e.mask);
   }
 }
 

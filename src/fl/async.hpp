@@ -92,11 +92,10 @@ class StragglerBuffer {
   void clear() { entries_.clear(); }
   const std::vector<BufferedUpdate>& entries() const { return entries_; }
 
-  /// Checkpoint the buffer under `prefix` ("algo/async/"). Nothing is
-  /// written when empty, so pre-async checkpoints stay loadable and the
-  /// entry set is unchanged for synchronous runs.
-  void save(RunCheckpoint& out, const std::string& prefix) const;
-  void load(const RunCheckpoint& in, const std::string& prefix);
+  /// Checkpoint walk under `prefix` ("algo/async/"). Nothing is written
+  /// when empty, so pre-async checkpoints stay loadable and the entry set
+  /// is unchanged for synchronous runs.
+  void state(StateArchive& ar, const std::string& prefix);
 
  private:
   std::vector<BufferedUpdate> entries_;  // ckpt: n (count, then per-entry keys)
@@ -151,11 +150,9 @@ class EscalationTracker {
   bool active() const { return active_; }
   std::size_t streak() const { return streak_; }
   std::size_t quiet_streak() const { return quiet_; }
-  /// Checkpoint restore.
-  void restore(std::size_t streak, bool active, std::size_t quiet = 0) {
-    streak_ = streak;
-    active_ = active;
-    quiet_ = quiet;
+  /// Checkpoint walk; an absent entry loads as a fresh tracker.
+  void state(StateArchive& ar) {
+    ar.optional().u64("run/escalation", streak_, active_, quiet_);
   }
 
  private:

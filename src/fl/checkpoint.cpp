@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "fl/store/error.hpp"
 
@@ -85,15 +86,21 @@ tensor::NamedTensor pack_doubles(std::string name,
                                  const std::vector<double>& values) {
   std::vector<std::uint64_t> words(values.size());
   static_assert(sizeof(double) == sizeof(std::uint64_t));
-  std::memcpy(words.data(), values.data(),
-              values.size() * sizeof(std::uint64_t));
+  // An empty vector's data() may be null, and memcpy from null is undefined
+  // even for zero bytes.
+  if (!values.empty()) {
+    std::memcpy(words.data(), values.data(),
+                values.size() * sizeof(std::uint64_t));
+  }
   return pack_u64s(std::move(name), words);
 }
 
 std::vector<double> unpack_doubles(const tensor::Tensor& t) {
   const std::vector<std::uint64_t> words = unpack_u64s(t);
   std::vector<double> out(words.size());
-  std::memcpy(out.data(), words.data(), words.size() * sizeof(double));
+  if (!words.empty()) {
+    std::memcpy(out.data(), words.data(), words.size() * sizeof(double));
+  }
   return out;
 }
 
@@ -126,6 +133,62 @@ const tensor::Tensor& RunCheckpoint::at(const std::string& name) const {
     throw std::runtime_error("RunCheckpoint: missing entry '" + name + "'");
   }
   return *t;
+}
+
+/// The one entry walk every primitive shares: saving appends `pack(name,
+/// values)` unless the entry is an optional one not to be written; loading
+/// sets `values` from the entry, or empties them when an optional entry is
+/// absent. Consumes optional().
+template <class V, class Pack, class Unpack>
+bool StateArchive::walk(const std::string& name, V& values, Pack pack,
+                        Unpack unpack) {
+  const bool optional = std::exchange(optional_, false);
+  if (!loading()) {
+    if (optional && !write_) return false;
+    out_->entries.push_back(pack(name, values));
+    return true;
+  }
+  const tensor::Tensor* entry = optional ? in_->find(name) : &in_->at(name);
+  values = entry != nullptr ? unpack(*entry) : V{};
+  return entry != nullptr;
+}
+
+bool StateArchive::floats(const std::string& name,
+                          std::vector<float>& values) {
+  return walk(name, values, pack_floats, unpack_floats);
+}
+
+bool StateArchive::floats(const std::string& name,
+                          std::vector<std::uint8_t>& mask) {
+  std::vector<float> values(mask.begin(), mask.end());
+  const bool walked = floats(name, values);
+  if (loading()) {
+    mask.resize(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      mask[i] = std::uint8_t(values[i] != 0.0f);
+    }
+  }
+  return walked;
+}
+
+bool StateArchive::doubles(const std::string& name,
+                           std::vector<double>& values) {
+  return walk(name, values, pack_doubles, unpack_doubles);
+}
+
+bool StateArchive::u64s(const std::string& name,
+                        std::vector<std::uint64_t>& words) {
+  return walk(name, words, pack_u64s, unpack_u64s);
+}
+
+bool StateArchive::rng(const std::string& name, common::Rng& rng) {
+  return walk(
+      name, rng, pack_rng,
+      [&rng](const tensor::Tensor& t) {
+        common::Rng restored = rng;
+        unpack_rng(t, restored);
+        return restored;
+      });
 }
 
 }  // namespace spatl::fl

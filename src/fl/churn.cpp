@@ -164,36 +164,19 @@ ChurnDelta ChurnEngine::advance(std::size_t round) {
   return delta;
 }
 
-void ChurnEngine::save(RunCheckpoint& out, const std::string& prefix) const {
-  out.entries.push_back(
-      pack_u64s(prefix + "cursor", {std::uint64_t(cursor_)}));
-  std::vector<std::uint64_t> st(status_.size());
-  for (std::size_t c = 0; c < status_.size(); ++c) {
-    st[c] = std::uint64_t(status_[c]);
-  }
-  out.entries.push_back(pack_u64s(prefix + "status", st));
-  out.entries.push_back(pack_u64s(prefix + "departed", departed_round_));
-  out.entries.push_back(pack_u64s(prefix + "pending", pending_));
-}
-
-void ChurnEngine::load(const RunCheckpoint& in, const std::string& prefix) {
-  const tensor::Tensor* cur = in.find(prefix + "cursor");
-  if (cur == nullptr) {  // snapshot predates the engine: fresh start
-    reset_to_initial();
+void ChurnEngine::state(StateArchive& ar, const std::string& prefix) {
+  if (!ar.optional().u64(prefix + "cursor", cursor_)) {
+    reset_to_initial();  // the snapshot predates the engine
     return;
   }
-  cursor_ = std::size_t(unpack_u64s(*cur)[0]);
-  const auto st = unpack_u64s(in.at(prefix + "status"));
-  if (st.size() != trace_.num_clients) {
+  ar.u64s(prefix + "status", status_);
+  if (status_.size() != trace_.num_clients) {
     throw std::runtime_error(
-        "ChurnEngine::load: checkpoint population mismatch");
+        "ChurnEngine::state: checkpoint population mismatch");
   }
-  for (std::size_t c = 0; c < st.size(); ++c) {
-    status_[c] = MemberStatus(std::uint8_t(st[c]));
-  }
-  departed_round_ = unpack_u64s(in.at(prefix + "departed"));
-  pending_ = unpack_u64s(in.at(prefix + "pending"));
-  rebuild_enrolled();
+  ar.u64s(prefix + "departed", departed_round_);
+  ar.u64s(prefix + "pending", pending_);
+  if (ar.loading()) rebuild_enrolled();
 }
 
 }  // namespace spatl::fl

@@ -138,12 +138,11 @@ class ChurnEngine {
   const ChurnTrace& trace() const { return trace_; }
   std::size_t cursor() const { return cursor_; }
 
-  /// Checkpoint the mutable state under `prefix` ("run/churn/"). The trace
-  /// itself is not written — it regenerates from the config.
-  void save(RunCheckpoint& out, const std::string& prefix) const;
-  /// Restore from a checkpoint; entries absent (a snapshot taken before any
-  /// advance, or a pre-churn checkpoint) reset to the initial state.
-  void load(const RunCheckpoint& in, const std::string& prefix);
+  /// Checkpoint walk over the mutable state under `prefix` ("run/churn/").
+  /// The trace itself is not written — it regenerates from the config. A
+  /// snapshot without the entries (a pre-churn checkpoint) loads as the
+  /// initial state.
+  void state(StateArchive& ar, const std::string& prefix);
 
  private:
   void reset_to_initial();

@@ -69,13 +69,10 @@ class CommLedger {
 
   /// Checkpoint restore: overwrite the counters with previously-captured
   /// totals so a resumed run's cumulative byte series continues exactly.
-  void restore(double uplink, double downlink, double retransmitted) {
-    up_ = uplink;
-    down_ = downlink;
-    retransmit_ = retransmitted;
-  }
   void restore(const CommSnapshot& snap) {
-    restore(snap.uplink, snap.downlink, snap.retransmitted);
+    up_ = snap.uplink;
+    down_ = snap.downlink;
+    retransmit_ = snap.retransmitted;
   }
 
  private:

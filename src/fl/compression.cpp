@@ -194,18 +194,11 @@ void CompressedFedAvg::combine(std::vector<Contribution>& accepted,
   unflatten_bn_stats(bn, global_);
 }
 
-void CompressedFedAvg::save_state(RunCheckpoint& out) {
-  FederatedAlgorithm::save_state(out);
-  out.entries.push_back(pack_floats("algo/opt/m", velocity_));
-  out.entries.push_back(pack_floats("algo/opt/v", second_));
-  out.entries.push_back(pack_u64s("algo/opt/t", {step_}));
-}
-
-void CompressedFedAvg::load_state(const RunCheckpoint& in) {
-  FederatedAlgorithm::load_state(in);
-  velocity_ = unpack_floats(in.at("algo/opt/m"));
-  second_ = unpack_floats(in.at("algo/opt/v"));
-  step_ = unpack_u64s(in.at("algo/opt/t"))[0];
+void CompressedFedAvg::state(StateArchive& ar) {
+  FederatedAlgorithm::state(ar);
+  ar.floats("algo/opt/m", velocity_);
+  ar.floats("algo/opt/v", second_);
+  ar.u64("algo/opt/t", step_);
 }
 
 }  // namespace spatl::fl

@@ -62,8 +62,7 @@ class CompressedFedAvg : public FederatedAlgorithm {
 
   /// "fedavgm" / "fedadam" for the server optimizers, else "fedavg+<codec>".
   std::string name() const override;
-  void save_state(RunCheckpoint& out) override;
-  void load_state(const RunCheckpoint& in) override;
+  void state(StateArchive& ar) override;
 
  private:
   ClientUpload train_client(std::size_t client,

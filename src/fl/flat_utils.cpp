@@ -90,4 +90,20 @@ void unflatten_bn_stats(const std::vector<float>& flat,
   }
 }
 
+void walk_params(StateArchive& ar, const std::string& name,
+                 std::vector<nn::ParamView> views) {
+  std::vector<float> flat;
+  if (!ar.loading()) flat = nn::flatten_values(views);
+  ar.floats(name, flat);
+  if (ar.loading()) nn::unflatten_values(flat, views);
+}
+
+void walk_bn(StateArchive& ar, const std::string& name,
+             models::SplitModel& model) {
+  std::vector<float> flat;
+  if (!ar.loading()) flat = flatten_bn_stats(model);
+  ar.floats(name, flat);
+  if (ar.loading()) unflatten_bn_stats(flat, model);
+}
+
 }  // namespace spatl::fl

@@ -5,9 +5,11 @@
 // against anchors / control variates in the same order.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "data/train.hpp"
+#include "fl/checkpoint.hpp"
 #include "models/split_model.hpp"
 
 namespace spatl::fl {
@@ -50,5 +52,12 @@ double l2_norm(const std::vector<float>& v);
 std::vector<float> flatten_bn_stats(const models::SplitModel& model);
 void unflatten_bn_stats(const std::vector<float>& flat,
                         models::SplitModel& model);
+
+/// Checkpoint walks over model state, one flat float entry each: parameter
+/// values in view order, and BN running statistics.
+void walk_params(StateArchive& ar, const std::string& name,
+                 std::vector<nn::ParamView> views);
+void walk_bn(StateArchive& ar, const std::string& name,
+             models::SplitModel& model);
 
 }  // namespace spatl::fl

@@ -30,31 +30,21 @@ void LocalOnly::run_round(const std::vector<std::size_t>& selected) {
   }
 }
 
-void LocalOnly::save_state(RunCheckpoint& out) {
-  FederatedAlgorithm::save_state(out);
+void LocalOnly::state(StateArchive& ar) {
+  FederatedAlgorithm::state(ar);
   for (std::size_t i = 0; i < clients_.size(); ++i) {
-    if (!clients_[i]) continue;
+    // Only built models travel, keyed on their weights entry; a slot absent
+    // from the snapshot is reset and rebuilt lazily on first use.
+    std::vector<float> w;
+    if (clients_[i]) w = nn::flatten_values(clients_[i]->all_params());
     const std::string id = std::to_string(i);
-    out.entries.push_back(pack_floats(
-        "algo/local/w/" + id, nn::flatten_values(clients_[i]->all_params())));
-    out.entries.push_back(
-        pack_floats("algo/local/bn/" + id, flatten_bn_stats(*clients_[i])));
-  }
-}
-
-void LocalOnly::load_state(const RunCheckpoint& in) {
-  FederatedAlgorithm::load_state(in);
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    const std::string id = std::to_string(i);
-    const tensor::Tensor* w = in.find("algo/local/w/" + id);
-    if (w == nullptr) {
-      clients_[i].reset();  // not materialized at capture time
+    if (!ar.optional(clients_[i] != nullptr).floats("algo/local/w/" + id, w)) {
+      clients_[i].reset();
       continue;
     }
     auto& model = client_model(i);
-    auto views = model.all_params();
-    nn::unflatten_values(unpack_floats(*w), views);
-    unflatten_bn_stats(unpack_floats(in.at("algo/local/bn/" + id)), model);
+    if (ar.loading()) nn::unflatten_values(w, model.all_params());
+    walk_bn(ar, "algo/local/bn/" + id, model);
   }
 }
 

@@ -22,8 +22,7 @@ class LocalOnly : public FederatedAlgorithm {
   std::string name() const override { return "local-only"; }
   void run_round(const std::vector<std::size_t>& selected) override;
   /// Every materialized client model (weights + BN statistics).
-  void save_state(RunCheckpoint& out) override;
-  void load_state(const RunCheckpoint& in) override;
+  void state(StateArchive& ar) override;
 
   /// Heterogeneous deployment: evaluation uses each client's own model.
   EvalSummary evaluate_clients() override;

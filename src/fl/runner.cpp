@@ -45,8 +45,8 @@ template <bool RoundStats::*kField>
 std::size_t flag_of(const RoundStats& s) { return s.*kField ? 1 : 0; }
 std::size_t rejected_of(const RoundStats& s) { return s.rejected_total(); }
 
-/// Every run total, one row each. accumulate() adds a round into it, save()
-/// writes it as run/total/<name>, and load() restores it (absent = 0).
+/// Every run total, one row each. accumulate() adds a round into it, and
+/// the checkpoint walk carries it as run/total/<name> (absent = 0).
 constexpr RunCounter kRunCounters[] = {
     {"selected", count_of<&RoundStats::selected>, &RunResult::total_selected},
     {"dropped", count_of<&RoundStats::dropped>, &RunResult::total_dropped},
@@ -88,13 +88,6 @@ void accumulate(RunResult& result, const RoundStats& stats) {
   for (const std::size_t c : stats.giveups) {
     if (c < result.client_giveups.size()) ++result.client_giveups[c];
   }
-}
-
-/// The run/series/<name> scalar, or `fallback` when the entry is absent.
-double series_entry(const RunCheckpoint& ckpt, const char* name,
-                    double fallback) {
-  const tensor::Tensor* t = ckpt.find("run/series/" + std::string(name));
-  return t != nullptr ? unpack_doubles(*t).at(0) : fallback;
 }
 
 /// Minimum relative selection weight under fault-aware sampling: flaky
@@ -160,7 +153,7 @@ std::vector<std::size_t> weighted_sample_without_replacement(
 }
 
 // The loop's checkpointed state beyond the algorithm and the RunResult
-// totals. load() starts from a fresh LoopState, so a member save() forgets
+// totals. A load starts from a fresh LoopState, so a member the walk forgets
 // reverts to its run-start value after a resume or crash drill — and the
 // resume, failover and chaos suites see the drift.
 // ckpt-struct: run/
@@ -226,8 +219,9 @@ class RoundLoop {
   std::optional<std::size_t> crash_drill(const Round& r);
 
   std::size_t start_round();
-  RunCheckpoint save(std::size_t round) const;
+  RunCheckpoint save(std::size_t round);
   std::size_t load(const RunCheckpoint& ckpt);
+  void state(StateArchive& ar, std::size_t& round);
   std::optional<std::size_t> recover_from_store();
   void retune_krum();
   void arm(const ResilienceConfig& rule);
@@ -242,7 +236,7 @@ class RoundLoop {
   const bool async_on_;
   const bool krum_auto_;
   std::optional<FaultModel> faults_;
-  std::optional<ChurnEngine> churn_;  // persists itself under run/churn/
+  std::optional<ChurnEngine> churn_;  // walks itself under run/churn/
   std::optional<store::CheckpointStore> store_;
   std::vector<std::size_t> all_clients_;  // the sampling pool without churn
   RunCheckpoint baseline_;                // pre-loop snapshot for drills
@@ -251,7 +245,7 @@ class RoundLoop {
   LoopState state_;
   /// The policy installed this round: `resilience_`, upgraded in place when
   /// the escalation tracker trips (downgraded by the opt-in quiet-streak
-  /// de-escalation) and re-derived by load().
+  /// de-escalation) and re-derived by a checkpoint load.
   ResilienceConfig current_;
   RunResult result_;
 };
@@ -811,107 +805,70 @@ std::size_t RoundLoop::start_round() {
 /// Full-state snapshot after `round`: everything load-bearing for the
 /// remaining rounds, so a resume (or an injected crash recovery) replays
 /// the uninterrupted run bit for bit.
-RunCheckpoint RoundLoop::save(std::size_t round) const {
+RunCheckpoint RoundLoop::save(std::size_t round) {
   RunCheckpoint ckpt;
-  algo_.save_state(ckpt);
-  ckpt.entries.push_back(pack_u64s("run/round", {std::uint64_t(round)}));
-  ckpt.entries.push_back(pack_rng("run/sampler_rng", state_.sampler));
-  const CommSnapshot lg = algo_.ledger().snapshot();
-  ckpt.entries.push_back(pack_doubles(
-      "run/ledger", {lg.uplink, lg.downlink, lg.retransmitted}));
-  ckpt.entries.push_back(pack_doubles("run/ema", state_.fail_ema));
-  for (const RunCounter& c : kRunCounters) {
-    ckpt.entries.push_back(pack_u64s("run/total/" + std::string(c.name),
-                                     {std::uint64_t(result_.*c.total)}));
-  }
-  const std::pair<const char*, double> series[] = {
-      {"best_accuracy", result_.best_accuracy},
-      {"final_accuracy", result_.final_accuracy},
-      {"prev_loss", state_.prev_loss},
-      {"backoff_wait", result_.total_backoff_wait}};
-  for (const auto& [name, value] : series) {
-    ckpt.entries.push_back(
-        pack_doubles("run/series/" + std::string(name), {value}));
-  }
-  const EscalationTracker& esc = state_.escalation;
-  ckpt.entries.push_back(pack_u64s(
-      "run/escalation", {std::uint64_t(esc.streak()),
-                         std::uint64_t(esc.active() ? 1 : 0),
-                         std::uint64_t(esc.quiet_streak())}));
-  if (!state_.defer_queue.empty()) {
-    ckpt.entries.push_back(pack_u64s(
-        "run/admission_carryover",
-        std::vector<std::uint64_t>(state_.defer_queue.begin(),
-                                   state_.defer_queue.end())));
-  }
-  if (krum_auto_) {
-    ckpt.entries.push_back(pack_u64s("run/krum_ledger", state_.suspect_rounds));
-  }
-  if (churn_) churn_->save(ckpt, "run/churn/");
-  if (result_.total_giveups > 0) {
-    ckpt.entries.push_back(pack_u64s(
-        "run/giveups",
-        std::vector<std::uint64_t>(result_.client_giveups.begin(),
-                                   result_.client_giveups.end())));
-  }
+  StateArchive ar = StateArchive::save_to(ckpt);
+  state(ar, round);
   return ckpt;
 }
 
-/// Inverse of save(): rebuild every piece of loop state from a snapshot,
-/// starting from a fresh LoopState. Returns the round the snapshot was
-/// taken after.
+/// Rebuilds every piece of loop state from a snapshot. Returns the round
+/// the snapshot was taken after.
 std::size_t RoundLoop::load(const RunCheckpoint& ckpt) {
-  algo_.load_state(ckpt);
-  state_ = LoopState(opts_, num_clients_);
-  const std::size_t round =
-      std::size_t(unpack_u64s(ckpt.at("run/round")).at(0));
-  unpack_rng(ckpt.at("run/sampler_rng"), state_.sampler);
-  const auto lg = unpack_doubles(ckpt.at("run/ledger"));
-  algo_.ledger().restore(lg.at(0), lg.at(1), lg.at(2));
-  const auto ema = unpack_doubles(ckpt.at("run/ema"));
-  if (ema.size() == num_clients_) state_.fail_ema = ema;
-  for (const RunCounter& c : kRunCounters) {
-    const tensor::Tensor* t = ckpt.find("run/total/" + std::string(c.name));
-    result_.*c.total = t != nullptr ? std::size_t(unpack_u64s(*t).at(0)) : 0;
-  }
-  result_.best_accuracy = series_entry(ckpt, "best_accuracy", 0.0);
-  result_.final_accuracy = series_entry(ckpt, "final_accuracy", 0.0);
-  result_.total_backoff_wait = series_entry(ckpt, "backoff_wait", 0.0);
-  state_.prev_loss = series_entry(ckpt, "prev_loss", state_.prev_loss);
-  if (const auto* t = ckpt.find("run/escalation")) {
-    const auto esc = unpack_u64s(*t);
-    state_.escalation.restore(std::size_t(esc.at(0)), esc.at(1) != 0,
-                              std::size_t(esc.at(2)));
-  }
-  // Re-arm the aggregation rule the snapshot was running under — escalated
-  // or (after a crash that rolled past a de-escalation) the base rule.
-  current_ = resilience_;
-  if (defended_) {
-    if (state_.escalation.active()) {
-      current_.aggregator = opts_.escalation.aggregator;
-    }
-    arm(current_);
-  }
-  if (krum_auto_) {
-    if (const auto* t = ckpt.find("run/krum_ledger")) {
-      const auto v = unpack_u64s(*t);
-      std::copy_n(v.begin(), std::min(v.size(), num_clients_),
-                  state_.suspect_rounds.begin());
-    }
-    retune_krum();
-  }
-  if (const auto* t = ckpt.find("run/admission_carryover")) {
-    const auto q = unpack_u64s(*t);
-    state_.defer_queue.assign(q.begin(), q.end());
-  }
-  if (churn_) churn_->load(ckpt, "run/churn/");
-  result_.client_giveups.assign(num_clients_, 0);
-  if (const auto* t = ckpt.find("run/giveups")) {
-    const auto g = unpack_u64s(*t);
-    std::copy_n(g.begin(), std::min(g.size(), num_clients_),
-                result_.client_giveups.begin());
-  }
+  std::size_t round = 0;
+  StateArchive ar = StateArchive::load_from(ckpt);
+  state(ar, round);
   return round;
+}
+
+/// The loop's one checkpoint walk (DESIGN.md §8.4): the algorithm, then the
+/// loop state in entry order. A load starts from a fresh LoopState and
+/// re-arms the rule the snapshot ran under.
+void RoundLoop::state(StateArchive& ar, std::size_t& round) {
+  algo_.state(ar);
+  if (ar.loading()) state_ = LoopState(opts_, num_clients_);
+  ar.u64("run/round", round);
+  ar.rng("run/sampler_rng", state_.sampler);
+  CommSnapshot lg = algo_.ledger().snapshot();
+  ar.f64("run/ledger", lg.uplink, lg.downlink, lg.retransmitted);
+  if (ar.loading()) algo_.ledger().restore(lg);
+  ar.doubles("run/ema", state_.fail_ema);
+  if (state_.fail_ema.size() != num_clients_) {
+    state_.fail_ema.assign(num_clients_, 0.0);
+  }
+  for (const RunCounter& c : kRunCounters) {
+    ar.optional().u64("run/total/" + std::string(c.name), result_.*c.total);
+  }
+  ar.optional().f64("run/series/best_accuracy", result_.best_accuracy);
+  ar.optional().f64("run/series/final_accuracy", result_.final_accuracy);
+  if (!ar.optional().f64("run/series/prev_loss", state_.prev_loss)) {
+    state_.prev_loss = std::numeric_limits<double>::quiet_NaN();
+  }
+  ar.optional().f64("run/series/backoff_wait", result_.total_backoff_wait);
+  state_.escalation.state(ar);
+  if (ar.loading()) {
+    // Re-arm the aggregation rule the snapshot was running under —
+    // escalated or (after a crash that rolled past a de-escalation) the
+    // base rule.
+    current_ = resilience_;
+    if (defended_) {
+      if (state_.escalation.active()) {
+        current_.aggregator = opts_.escalation.aggregator;
+      }
+      arm(current_);
+    }
+  }
+  ar.optional(!state_.defer_queue.empty())
+      .u64s("run/admission_carryover", state_.defer_queue);
+  if (krum_auto_) {
+    ar.optional().u64s("run/krum_ledger", state_.suspect_rounds);
+    state_.suspect_rounds.resize(num_clients_);
+    if (ar.loading()) retune_krum();
+  }
+  if (churn_) churn_->state(ar, "run/churn/");
+  ar.optional(result_.total_giveups > 0)
+      .u64s("run/giveups", result_.client_giveups);
+  result_.client_giveups.resize(num_clients_);
 }
 
 /// The recovery ladder, shared by start-up resume and the crash drill: load

@@ -167,9 +167,11 @@ TEST(StragglerBufferTest, SaveLoadRoundTripsAllFields) {
   buf.park(make_update(1, 2, 3));
 
   RunCheckpoint ckpt;
-  buf.save(ckpt, "t/");
+  StateArchive out = StateArchive::save_to(ckpt);
+  buf.state(out, "t/");
   StragglerBuffer back;
-  back.load(ckpt, "t/");
+  StateArchive in = StateArchive::load_from(ckpt);
+  back.state(in, "t/");
   ASSERT_EQ(back.size(), 2u);
   const auto& a = back.entries()[1];  // commit 4 entry
   EXPECT_EQ(a.client, 3u);
@@ -187,11 +189,13 @@ TEST(StragglerBufferTest, EmptyBufferWritesNothing) {
   // no entries, and loading from a pre-async checkpoint is a no-op.
   StragglerBuffer buf;
   RunCheckpoint ckpt;
-  buf.save(ckpt, "t/");
+  StateArchive out = StateArchive::save_to(ckpt);
+  buf.state(out, "t/");
   EXPECT_TRUE(ckpt.empty());
   StragglerBuffer back;
   back.park(make_update(0, 1, 2));
-  back.load(ckpt, "t/");
+  StateArchive in = StateArchive::load_from(ckpt);
+  back.state(in, "t/");
   EXPECT_TRUE(back.empty());
 }
 

@@ -94,6 +94,10 @@ TEST(CheckpointPack, DoublesRoundTripByBitPattern) {
   EXPECT_EQ(
       std::memcmp(back.data(), values.data(), values.size() * sizeof(double)),
       0);
+  // An empty vector packs to the pad element alone and comes back empty.
+  const auto empty = pack_doubles("e", {});
+  EXPECT_EQ(empty.value.numel(), 1u);
+  EXPECT_TRUE(unpack_doubles(empty.value).empty());
 }
 
 TEST(CheckpointPack, RngCursorResumesTheExactStream) {

@@ -226,10 +226,12 @@ TEST(ChurnEngine, StateRoundTripsThroughCheckpointBitIdentically) {
     resumed.advance(r);
   }
   RunCheckpoint ckpt;
-  resumed.save(ckpt, "run/churn/");
+  StateArchive out = StateArchive::save_to(ckpt);
+  resumed.state(out, "run/churn/");
   // Wreck the copy, then restore: state must come back exactly.
   resumed.advance(rounds);
-  resumed.load(ckpt, "run/churn/");
+  StateArchive in = StateArchive::load_from(ckpt);
+  resumed.state(in, "run/churn/");
   EXPECT_EQ(resumed.cursor(), full.cursor());
   EXPECT_EQ(resumed.enrolled(), full.enrolled());
   for (std::size_t c = 0; c < n; ++c) {
@@ -248,7 +250,8 @@ TEST(ChurnEngine, LoadWithoutEntriesResetsToInitialState) {
   ChurnEngine engine(busy_churn(), 10, 8);
   engine.advance(5);
   const RunCheckpoint empty_ckpt;  // pre-churn checkpoint
-  engine.load(empty_ckpt, "run/churn/");
+  StateArchive in = StateArchive::load_from(empty_ckpt);
+  engine.state(in, "run/churn/");
   EXPECT_EQ(engine.cursor(), 0u);
   EXPECT_EQ(engine.enrolled().size(), engine.trace().initial_enrolled);
 }

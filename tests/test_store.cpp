@@ -200,12 +200,17 @@ TEST(CheckpointPackValidation, SeededPropertyRoundTrip) {
     ASSERT_EQ(back.size(), 4u);
 
     EXPECT_EQ(unpack_u64s(back[0].value), words);
+    // Empty vectors may have a null data(), which memcmp must not see.
     const auto d = unpack_doubles(back[1].value);
     ASSERT_EQ(d.size(), doubles.size());
-    EXPECT_EQ(std::memcmp(d.data(), doubles.data(), n * sizeof(double)), 0);
+    EXPECT_EQ(n == 0 ? 0 : std::memcmp(d.data(), doubles.data(),
+                                       n * sizeof(double)),
+              0);
     const auto f = unpack_floats(back[2].value);
     ASSERT_EQ(f.size(), floats.size());
-    EXPECT_EQ(std::memcmp(f.data(), floats.data(), n * sizeof(float)), 0);
+    EXPECT_EQ(n == 0 ? 0 : std::memcmp(f.data(), floats.data(),
+                                       n * sizeof(float)),
+              0);
     common::Rng restored(1);
     unpack_rng(back[3].value, restored);
     for (int k = 0; k < 8; ++k) {

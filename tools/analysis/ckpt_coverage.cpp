@@ -8,11 +8,15 @@
 //   // ckpt: none(<reason>)      an explicit opt-out, reason required
 //
 // on its own line or the line above. The pass cross-checks annotation keys
-// against the literal keys actually packed in src/fl (first argument of the
-// pack_floats/pack_u64s/pack_doubles/pack_rng helpers, plus the prefixes
-// handed to nested save() calls) and unpacked again (at/find/load call
-// arguments). Matching is substring in either direction, so an annotation
-// may name either the full key or the prefix used at the pack site.
+// against the literal keys actually packed in src/fl and src/core (first
+// argument of the pack_floats/pack_u64s/pack_doubles/pack_rng helpers) and
+// unpacked again (at/find call arguments). A StateArchive walk (DESIGN.md
+// §8.4) writes and reads through the same call, so every literal in an
+// archive call — a primitive, a model-state helper, or a nested
+// state(ar, "<prefix>") walk — counts as both a pack and an unpack site.
+// Keys match when equal, or when one is a '/'-terminated prefix of the
+// other, so an annotation may name either the full key or the prefix used
+// at the pack site.
 //
 // Rules:
 //   ckpt-unannotated-field  member of an audited struct with no annotation —
@@ -69,7 +73,7 @@ void literals_in(const SourceFile& f, std::size_t begin, std::size_t end,
 }
 
 void collect_sites(const SourceFile& f, std::vector<Site>* packs,
-                   std::vector<Site>* prefixes, std::vector<Site>* unpacks) {
+                   std::vector<Site>* unpacks) {
   const std::string& code = f.text.code;
   for (const char* token :
        {"pack_floats(", "pack_u64s(", "pack_doubles(", "pack_rng("}) {
@@ -78,14 +82,16 @@ void collect_sites(const SourceFile& f, std::vector<Site>* packs,
       literals_in(f, open, first_arg_end(code, open), packs);
     }
   }
-  // Nested component save(out, "<prefix>") calls: the prefix covers the
-  // component's annotations but the component packs its own keys, so the
-  // prefix itself is not held to the unpack check.
-  for (std::size_t p : find_token(code, "save(")) {
-    const std::size_t open = p + 4;
-    literals_in(f, open, paren_end(code, open), prefixes);
+  for (const char* token :
+       {"floats(", "doubles(", "u64s(", "u64(", "f64(", "rng(",
+        "walk_params(", "walk_bn(", "state("}) {
+    for (std::size_t p : find_token(code, token)) {
+      const std::size_t open = p + std::string(token).size() - 1;
+      literals_in(f, open, paren_end(code, open), packs);
+      literals_in(f, open, paren_end(code, open), unpacks);
+    }
   }
-  for (const char* token : {"at(", "find(", "load("}) {
+  for (const char* token : {"at(", "find("}) {
     for (std::size_t p : find_token(code, token)) {
       const std::size_t open = p + std::string(token).size() - 1;
       literals_in(f, open, paren_end(code, open), unpacks);
@@ -93,10 +99,16 @@ void collect_sites(const SourceFile& f, std::vector<Site>* packs,
   }
 }
 
+/// `prefix` ends in '/' and starts `key` ("run/series/" of
+/// "run/series/prev_loss").
+bool key_prefix(const std::string& prefix, const std::string& key) {
+  return !prefix.empty() && prefix.back() == '/' &&
+         key.compare(0, prefix.size(), prefix) == 0;
+}
+
 bool covered(const std::string& key, const std::vector<Site>& sites) {
   for (const auto& s : sites) {
-    if (key.find(s.text) != std::string::npos ||
-        s.text.find(key) != std::string::npos) {
+    if (key == s.text || key_prefix(key, s.text) || key_prefix(s.text, key)) {
       return true;
     }
   }
@@ -284,19 +296,15 @@ void collect_structs(const SourceFile& f, std::vector<AuditedStruct>* out) {
 }  // namespace
 
 void run_ckpt_coverage(const Project& project, std::vector<Finding>* out) {
-  std::vector<Site> packs;     // pack_* keys — must be unpacked somewhere
-  std::vector<Site> prefixes;  // nested save() prefixes — coverage only
+  std::vector<Site> packs;  // keys written — must be read back somewhere
   std::vector<Site> unpacks;
   std::vector<AuditedStruct> structs;
   for (const auto& f : project.files) {
-    if (f.rel.rfind("src/fl", 0) == 0) {
-      collect_sites(f, &packs, &prefixes, &unpacks);
+    if (f.rel.rfind("src/fl", 0) == 0 || f.rel.rfind("src/core", 0) == 0) {
+      collect_sites(f, &packs, &unpacks);
     }
     if (f.rel.rfind("src/", 0) == 0) collect_structs(f, &structs);
   }
-
-  std::vector<Site> pack_coverage = packs;
-  pack_coverage.insert(pack_coverage.end(), prefixes.begin(), prefixes.end());
 
   for (const auto& s : structs) {
     for (const auto& m : s.fields) {
@@ -344,11 +352,11 @@ void run_ckpt_coverage(const Project& project, std::vector<Finding>* out) {
         continue;
       }
       for (const auto& key : a.keys) {
-        if (!covered(key, pack_coverage)) {
+        if (!covered(key, packs)) {
           emit(*s.file, out, "ckpt-missing-pack", a.pos,
                "annotation key '" + key + "' on '" + s.name + "::" + m.name +
-                   "' matches no pack site in src/fl — the field is "
-                   "declared persisted but nothing writes it");
+                   "' matches no pack site in src/fl or src/core — the "
+                   "field is declared persisted but nothing writes it");
         }
       }
     }
@@ -358,8 +366,8 @@ void run_ckpt_coverage(const Project& project, std::vector<Finding>* out) {
     if (!covered(p.text, unpacks)) {
       emit(*p.file, out, "ckpt-missing-unpack", p.pos,
            "checkpoint key '" + p.text +
-               "' is packed but never unpacked (no at/find/load site reads "
-               "it back) — resume silently drops this state");
+               "' is packed but never unpacked (no at/find or archive site "
+               "reads it back) — resume silently drops this state");
     }
   }
 }
