@@ -1,9 +1,12 @@
 # Cross-process resume through the durable checkpoint store: a 4-round
 # `spatl train` split into two processes that share one --ckpt-dir must print
 # the same round-4 line and the same final summary as the straight run.
+# TRAIN_ARGS (optional, one space-separated string) adds train flags to all
+# three runs, so stateful algorithms carry their state across the process
+# boundary.
 #
 #   cmake -DSPATL=<spatl binary> -DWORK_DIR=<scratch dir> \
-#         -P tools/cli_store_resume.cmake
+#         [-DTRAIN_ARGS="--algo scaffold ..."] -P tools/cli_store_resume.cmake
 foreach(var SPATL WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "cli_store_resume: -D${var}=... is required")
@@ -13,7 +16,9 @@ endforeach()
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(ckpt_dir "${WORK_DIR}/ckpts")
-set(train_args train --arch cnn2 --input 8 --clients 4 --backend scalar)
+separate_arguments(extra_args UNIX_COMMAND "${TRAIN_ARGS}")
+set(train_args train --arch cnn2 --input 8 --clients 4 --backend scalar
+               ${extra_args})
 
 function(run_train out_var)
   execute_process(COMMAND "${SPATL}" ${train_args} ${ARGN}
