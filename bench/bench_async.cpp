@@ -101,9 +101,9 @@ int main(int argc, char** argv) {
       }
 
       // Equal-bytes comparison: the tightest total budget in the group.
-      double budget = rows.front().run.result.total_bytes;
+      double budget = rows.front().run.result.comm.total();
       for (const auto& r : rows) {
-        budget = std::min(budget, r.run.result.total_bytes);
+        budget = std::min(budget, r.run.result.comm.total());
       }
 
       for (const auto& r : rows) {
@@ -115,14 +115,14 @@ int main(int argc, char** argv) {
             algo.c_str(), r.mode.c_str(), deadline, r.stale_weight,
             r.max_lag, res.best_accuracy * 100.0, at_budget * 100.0,
             common::format_bytes(budget).c_str(),
-            common::format_bytes(res.total_bytes).c_str(), res.total_parked,
-            res.total_late_commits);
+            common::format_bytes(res.comm.total()).c_str(), res.total("parked"),
+            res.total("late_commits"));
         csv.row_values(algo, r.mode, deadline, r.stale_weight, r.max_lag,
                        res.final_accuracy, res.best_accuracy, at_budget,
-                       budget, res.total_bytes, res.total_stragglers,
-                       res.total_parked, res.total_late_commits,
-                       res.buffered_remaining, res.total_rejected,
-                       res.rounds_skipped);
+                       budget, res.comm.total(), res.total("stragglers"),
+                       res.total("parked"), res.total("late_commits"),
+                       res.buffered_remaining, res.total("rejected"),
+                       res.total("skipped"));
       }
       std::printf("\n");
     }

@@ -83,9 +83,10 @@ int main(int argc, char** argv) {
                   run.result.best_accuracy * 100.0, "-", "-", "-");
       csv.row_values(algo, "none", 0.0, "mean", run.result.final_accuracy,
                      run.result.best_accuracy, 0.0,
-                     run.result.total_attacked, run.result.total_suspected,
-                     run.result.total_rejected, run.result.rounds_skipped,
-                     run.result.total_bytes);
+                     run.result.total("attacked"),
+                     run.result.total("suspected"),
+                     run.result.total("rejected"), run.result.total("skipped"),
+                     run.result.comm.total());
     }
     for (const auto& attack : attacks) {
       double mean_final = 0.0;
@@ -112,12 +113,14 @@ int main(int argc, char** argv) {
                     algo.c_str(), attack.label.c_str(), aggr.c_str(),
                     run.result.final_accuracy * 100.0,
                     run.result.best_accuracy * 100.0, dmean * 100.0,
-                    run.result.total_attacked, run.result.total_suspected);
+                    run.result.total("attacked"),
+                    run.result.total("suspected"));
         csv.row_values(algo, attack.label, 1.0 / 3.0, aggr,
                        run.result.final_accuracy, run.result.best_accuracy,
-                       dmean, run.result.total_attacked,
-                       run.result.total_suspected, run.result.total_rejected,
-                       run.result.rounds_skipped, run.result.total_bytes);
+                       dmean, run.result.total("attacked"),
+                       run.result.total("suspected"),
+                       run.result.total("rejected"),
+                       run.result.total("skipped"), run.result.comm.total());
       }
     }
     std::printf("\n");

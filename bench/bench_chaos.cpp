@@ -180,8 +180,9 @@ int main(int argc, char** argv) {
                      res.store_commits, res.store_commit_failures,
                      res.recoveries_from_store, res.recovery_attempts_failed,
                      io.torn_writes(), io.corrupted_writes(),
-                     res.total_joined, res.total_left, res.total_stragglers,
-                     res.total_suspected, identical ? 1 : 0, elapsed);
+                     res.total("joined"), res.total("left"),
+                     res.total("stragglers"), res.total("suspected"),
+                     identical ? 1 : 0, elapsed);
     }
     std::printf("\n");
   }

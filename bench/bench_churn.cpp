@@ -76,8 +76,8 @@ int main(int argc, char** argv) {
         const double rounds_per_sec =
             double(scale.rounds) / std::max(1e-9, elapsed);
         const double shed_fraction =
-            res.total_selected > 0
-                ? double(res.total_shed) / double(res.total_selected)
+            res.total("selected") > 0
+                ? double(res.total("shed")) / double(res.total("selected"))
                 : 0.0;
         if (rate == 0.0) static_best = res.best_accuracy;
         const double delta = res.best_accuracy - static_best;
@@ -87,14 +87,14 @@ int main(int argc, char** argv) {
             "%5zu\n",
             algo.c_str(), budget.name.c_str(), rate,
             res.best_accuracy * 100.0, delta * 100.0, rounds_per_sec,
-            shed_fraction * 100.0, res.total_joined, res.total_left,
-            res.total_returned);
+            shed_fraction * 100.0, res.total("joined"), res.total("left"),
+            res.total("returned"));
         csv.row_values(algo, budget.name, rate, res.final_accuracy,
                        res.best_accuracy, delta, rounds_per_sec,
-                       shed_fraction, res.total_joined, res.total_left,
-                       res.total_returned, res.total_returning_discounted,
-                       res.total_shed, res.total_deferred,
-                       res.rounds_skipped, res.total_bytes);
+                       shed_fraction, res.total("joined"), res.total("left"),
+                       res.total("returned"), res.total("returning_discounted"),
+                       res.total("shed"), res.total("deferred"),
+                       res.total("skipped"), res.comm.total());
       }
       std::printf("\n");
     }

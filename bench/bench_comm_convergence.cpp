@@ -69,19 +69,19 @@ int main(int argc, char** argv) {
                                         algo == "spatl" ? &agent : nullptr);
       const std::size_t rounds = converge_round(run.result);
       if (algo == "fedavg") {
-        fedavg_bytes = run.result.total_bytes;
+        fedavg_bytes = run.result.comm.total();
         fedavg_acc = run.result.best_accuracy;
       }
       const double speedup =
-          run.result.total_bytes > 0 ? fedavg_bytes / run.result.total_bytes
+          run.result.comm.total() > 0 ? fedavg_bytes / run.result.comm.total()
                                      : 1.0;
       const double dacc = run.result.best_accuracy - fedavg_acc;
       std::printf("%-10s %-8zu %-6.1f %-9s %8zu %12s %7.2fx %8.1f%% %+7.1f%%\n",
                   s.arch.c_str(), s.clients, s.ratio, algo.c_str(), rounds,
-                  common::format_bytes(run.result.total_bytes).c_str(),
+                  common::format_bytes(run.result.comm.total()).c_str(),
                   speedup, run.result.best_accuracy * 100.0, dacc * 100.0);
       csv.row_values(s.arch, s.clients, s.ratio, algo, rounds,
-                     run.result.total_bytes, speedup,
+                     run.result.comm.total(), speedup,
                      run.result.best_accuracy, dacc);
     }
     std::printf("\n");

@@ -77,10 +77,10 @@ int main(int argc, char** argv) {
       std::printf("%-10s %-9s %6zu%s %14s %14s %14s %8.2fx\n", arch.c_str(),
                   algo.c_str(), rounds, reached ? "" : "*",
                   common::format_bytes(full_rc).c_str(),
-                  common::format_bytes(run.result.total_bytes).c_str(),
+                  common::format_bytes(run.result.comm.total()).c_str(),
                   common::format_bytes(full_total).c_str(), speedup);
       csv.row_values(arch, algo, target, reached ? 1 : 0, rounds,
-                     run.avg_round_client_bytes, run.result.total_bytes,
+                     run.avg_round_client_bytes, run.result.comm.total(),
                      full_rc, full_total, speedup);
     }
     std::printf("\n");

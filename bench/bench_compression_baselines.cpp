@@ -45,9 +45,9 @@ int main(int argc, char** argv) {
                 result.final_accuracy * 100.0,
                 result.best_accuracy * 100.0,
                 common::format_bytes(algo.ledger().uplink_bytes()).c_str(),
-                common::format_bytes(result.total_bytes).c_str());
+                common::format_bytes(result.comm.total()).c_str());
     csv.row_values(algo.name(), result.final_accuracy, result.best_accuracy,
-                   algo.ledger().uplink_bytes(), result.total_bytes);
+                   algo.ledger().uplink_bytes(), result.comm.total());
   };
 
   auto fresh_env = [&]() {

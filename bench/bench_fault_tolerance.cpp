@@ -76,17 +76,18 @@ int main(int argc, char** argv) {
           "%-9s %-10s %7.1f%% %7.1f%% %+7.1f%% %12s %10s %7zu %7zu %6zu\n",
           algo.c_str(), f.label.c_str(), run.result.final_accuracy * 100.0,
           run.result.best_accuracy * 100.0, dacc * 100.0,
-          common::format_bytes(run.result.total_bytes).c_str(),
+          common::format_bytes(run.result.comm.total()).c_str(),
           common::format_bytes(run.retransmitted_bytes).c_str(),
-          run.result.total_dropped, run.result.total_rejected,
-          run.result.rounds_skipped);
+          run.result.total("dropped"), run.result.total("rejected"),
+          run.result.total("skipped"));
       csv.row_values(algo, f.label, f.dropout, f.corruption, f.loss,
                      run.result.final_accuracy, run.result.best_accuracy,
-                     dacc, run.result.total_bytes, run.retransmitted_bytes,
-                     run.result.total_dropped, run.result.total_stragglers,
-                     run.result.total_rejected,
-                     run.result.total_retransmissions,
-                     run.result.rounds_skipped);
+                     dacc, run.result.comm.total(), run.retransmitted_bytes,
+                     run.result.total("dropped"),
+                     run.result.total("stragglers"),
+                     run.result.total("rejected"),
+                     run.result.total("retransmissions"),
+                     run.result.total("skipped"));
     }
     std::printf("\n");
   }

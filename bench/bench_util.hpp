@@ -278,22 +278,27 @@ inline AlgoRun run_algorithm(const std::string& algo, const RunSpec& spec,
     algorithm = fl::make_baseline(algo, env, cfg);
   }
 
-  fl::RunOptions ro;
-  ro.rounds = spec.rounds_override > 0 ? spec.rounds_override : s.rounds;
-  ro.sample_ratio = spec.sample_ratio;
-  ro.eval_every = s.eval_every;
-  ro.target_accuracy = spec.target_accuracy;
-  ro.faults = spec.faults;
-  ro.resilience = spec.resilience;
-  ro.async = spec.async;
-  ro.churn = spec.churn;
-  ro.admission = spec.admission;
-  ro.crash_at_rounds = spec.crash_at_rounds;
-  ro.checkpoint_every = spec.checkpoint_every;
-  ro.ckpt_store = spec.ckpt_store;
-  ro.store_io = spec.store_io;
-  ro.telemetry = g_telemetry_sink;
-  ro.telemetry_every = g_telemetry_every;
+  // One initializer: each optional config is copy-constructed in place,
+  // never default-built and then assigned.
+  const fl::RunOptions ro{
+      .rounds = spec.rounds_override > 0 ? spec.rounds_override : s.rounds,
+      .sample_ratio = spec.sample_ratio,
+      .eval_every = s.eval_every,
+      .backend = {},
+      .target_accuracy = spec.target_accuracy,
+      .faults = spec.faults,
+      .resilience = spec.resilience,
+      .async = spec.async,
+      .churn = spec.churn,
+      .admission = spec.admission,
+      .crash_at_rounds = spec.crash_at_rounds,
+      .escalation = {},
+      .checkpoint_every = spec.checkpoint_every,
+      .ckpt_store = spec.ckpt_store,
+      .store_io = spec.store_io,
+      .telemetry = g_telemetry_sink,
+      .telemetry_every = g_telemetry_every,
+  };
 
   AlgoRun run;
   run.algorithm = algo;

@@ -99,7 +99,7 @@ int main() {
     plans.push_back({algo, rounds, full});
     std::printf("%-10s %7zu%s %16s %20s\n", algo.c_str(), rounds,
                 result.rounds_to_target ? "" : "*",
-                common::format_bytes(result.total_bytes).c_str(),
+                common::format_bytes(result.comm.total()).c_str(),
                 common::format_bytes(full).c_str());
   }
 

@@ -88,12 +88,12 @@ int main() {
     if (o.result.rounds_to_target) {
       std::printf("  %-6s: %2zu rounds, %s communicated\n", o.name.c_str(),
                   *o.result.rounds_to_target,
-                  common::format_bytes(o.result.total_bytes).c_str());
+                  common::format_bytes(o.result.comm.total()).c_str());
     } else {
       std::printf("  %-6s: not reached in %zu rounds (best %.1f%%, %s)\n",
                   o.name.c_str(), max_rounds,
                   o.result.best_accuracy * 100.0,
-                  common::format_bytes(o.result.total_bytes).c_str());
+                  common::format_bytes(o.result.comm.total()).c_str());
     }
   }
   return 0;

@@ -71,8 +71,6 @@ void FederatedAlgorithm::park_update(std::size_t client, const Delivery& d,
   stats_.dedup_dropped += evicted;
   stats_.buffer_depth = buffer_.size();
   auto& registry = obs::MetricsRegistry::instance();
-  registry.counter("async.parked").increment();
-  if (evicted > 0) registry.counter("async.dedup_dropped").add(evicted);
   registry.gauge("async.buffer_depth").set(double(buffer_.size()));
   registry.histogram("async.lag", {1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 16.0})
       .record(double(d.lag));
@@ -85,9 +83,8 @@ std::vector<BufferedUpdate> FederatedAlgorithm::take_due_updates() {
   stats_.late_commits += due.size();
   stats_.buffer_depth = buffer_.size();
   if (!due.empty()) {
-    auto& registry = obs::MetricsRegistry::instance();
-    registry.counter("async.committed").add(due.size());
-    registry.gauge("async.buffer_depth").set(double(buffer_.size()));
+    obs::MetricsRegistry::instance().gauge("async.buffer_depth").set(
+        double(buffer_.size()));
   }
   return due;
 }

@@ -45,44 +45,41 @@ template <bool RoundStats::*kField>
 std::size_t flag_of(const RoundStats& s) { return s.*kField ? 1 : 0; }
 std::size_t rejected_of(const RoundStats& s) { return s.rejected_total(); }
 
-/// Every run total, one row each. accumulate() adds a round into it, and
-/// the checkpoint walk carries it as run/total/<name> (absent = 0).
+/// Every run total, one row each (DESIGN.md §8.5). accumulate() adds a
+/// round into RunResult::totals and the registry counter fl.<name>, emit()
+/// writes the round's value as counts.<name>, and the checkpoint walk
+/// carries the total as run/total/<name> (absent = 0).
 constexpr RunCounter kRunCounters[] = {
-    {"selected", count_of<&RoundStats::selected>, &RunResult::total_selected},
-    {"dropped", count_of<&RoundStats::dropped>, &RunResult::total_dropped},
-    {"stragglers", count_of<&RoundStats::stragglers>,
-     &RunResult::total_stragglers},
-    {"accepted", count_of<&RoundStats::accepted>, &RunResult::total_accepted},
-    {"rejected", rejected_of, &RunResult::total_rejected},
-    {"retransmissions", count_of<&RoundStats::retransmissions>,
-     &RunResult::total_retransmissions},
-    {"skipped", flag_of<&RoundStats::skipped>, &RunResult::rounds_skipped},
-    {"attacked", size_of<&RoundStats::attackers>, &RunResult::total_attacked},
-    {"suspected", size_of<&RoundStats::suspects>,
-     &RunResult::total_suspected},
-    {"rolled_back", flag_of<&RoundStats::rolled_back>,
-     &RunResult::rounds_rolled_back},
-    {"parked", count_of<&RoundStats::parked>, &RunResult::total_parked},
-    {"late_commits", count_of<&RoundStats::late_commits>,
-     &RunResult::total_late_commits},
-    {"escalated", flag_of<&RoundStats::escalated>,
-     &RunResult::rounds_escalated},
-    {"dedup_dropped", count_of<&RoundStats::dedup_dropped>,
-     &RunResult::total_dedup_dropped},
-    {"joined", count_of<&RoundStats::joined>, &RunResult::total_joined},
-    {"left", count_of<&RoundStats::left>, &RunResult::total_left},
-    {"returned", count_of<&RoundStats::returned>, &RunResult::total_returned},
-    {"returning_discounted", count_of<&RoundStats::returning_discounted>,
-     &RunResult::total_returning_discounted},
-    {"shed", count_of<&RoundStats::shed>, &RunResult::total_shed},
-    {"deferred", count_of<&RoundStats::admission_deferred>,
-     &RunResult::total_deferred},
-    {"giveups", size_of<&RoundStats::giveups>, &RunResult::total_giveups},
+    {"selected", count_of<&RoundStats::selected>},
+    {"dropped", count_of<&RoundStats::dropped>},
+    {"stragglers", count_of<&RoundStats::stragglers>},
+    {"accepted", count_of<&RoundStats::accepted>},
+    {"rejected", rejected_of},
+    {"retransmissions", count_of<&RoundStats::retransmissions>},
+    {"skipped", flag_of<&RoundStats::skipped>},
+    {"attacked", size_of<&RoundStats::attackers>},
+    {"suspected", size_of<&RoundStats::suspects>},
+    {"rolled_back", flag_of<&RoundStats::rolled_back>},
+    {"parked", count_of<&RoundStats::parked>},
+    {"late_commits", count_of<&RoundStats::late_commits>},
+    {"escalated", flag_of<&RoundStats::escalated>},
+    {"dedup_dropped", count_of<&RoundStats::dedup_dropped>},
+    {"joined", count_of<&RoundStats::joined>},
+    {"left", count_of<&RoundStats::left>},
+    {"returned", count_of<&RoundStats::returned>},
+    {"returning_discounted", count_of<&RoundStats::returning_discounted>},
+    {"shed", count_of<&RoundStats::shed>},
+    {"deferred", count_of<&RoundStats::admission_deferred>},
+    {"giveups", size_of<&RoundStats::giveups>},
 };
+constexpr std::size_t kNumRunCounters = std::size(kRunCounters);
 
 void accumulate(RunResult& result, const RoundStats& stats) {
-  for (const RunCounter& c : kRunCounters) {
-    result.*c.total += c.per_round(stats);
+  auto& registry = obs::MetricsRegistry::instance();
+  for (std::size_t i = 0; i < kNumRunCounters; ++i) {
+    const std::size_t n = kRunCounters[i].per_round(stats);
+    result.totals[i] += n;
+    registry.counter("fl." + std::string(kRunCounters[i].name)).add(n);
   }
   result.total_backoff_wait += stats.backoff_wait;
   for (const std::size_t c : stats.giveups) {
@@ -323,8 +320,6 @@ RunResult RoundLoop::run() {
     if (r.stop) break;
   }
   result_.comm = algo_.ledger().snapshot();
-  result_.total_bytes = result_.comm.total();
-  result_.retransmitted_bytes = result_.comm.retransmitted;
   result_.buffered_remaining = algo_.buffered_total();
   if (async_on_) algo_.clear_async();
   if (churn_) algo_.clear_churn();
@@ -647,44 +642,24 @@ void RoundLoop::emit(const Round& r) {
       .add("downlink_bytes", delta.downlink)
       .add("retransmitted_bytes", delta.retransmitted)
       .add("cumulative_bytes", algo_.ledger().total_bytes());
+  // Every run counter, in table order: the round's share of each total.
+  obs::JsonObject counts;
+  for (const RunCounter& c : kRunCounters) {
+    counts.add(c.name, std::uint64_t(c.per_round(stats)));
+  }
   obs::JsonObject rec;
   rec.add("type", "round")
       .add("algo", algo_.name())
       .add("round", std::uint64_t(r.index))
-      .add("selected", std::uint64_t(stats.selected))
-      .add("dropped", std::uint64_t(stats.dropped))
-      .add("stragglers", std::uint64_t(stats.stragglers))
-      .add("accepted", std::uint64_t(stats.accepted))
-      .add("rejected", std::uint64_t(stats.rejected_total()))
-      .add("retransmissions", std::uint64_t(stats.retransmissions))
+      .add_raw("counts", counts.str())
       .add("clipped", std::uint64_t(stats.clipped))
-      .add("parked", std::uint64_t(stats.parked))
-      .add("late_commits", std::uint64_t(stats.late_commits))
       .add("buffer_depth", std::uint64_t(stats.buffer_depth))
-      .add("skipped", stats.skipped)
-      .add("rolled_back", stats.rolled_back)
-      .add("escalated", stats.escalated)
       .add_raw("attackers", ids_array(stats.attackers))
       .add_raw("suspects", ids_array(stats.suspects))
       .add_raw("comm", comm.str());
-  // Feature-gated fields: each block appears only when its subsystem is
-  // configured, so a run with everything off emits byte-identical records
-  // to the pre-churn telemetry schema.
-  if (async_on_) {
-    rec.add("dedup_dropped", std::uint64_t(stats.dedup_dropped));
-  }
-  if (churn_) {
-    rec.add("enrolled", std::uint64_t(stats.enrolled))
-        .add("joined", std::uint64_t(stats.joined))
-        .add("left", std::uint64_t(stats.left))
-        .add("returned", std::uint64_t(stats.returned))
-        .add("returning_discounted",
-             std::uint64_t(stats.returning_discounted));
-  }
-  if (opts_.admission.limited()) {
-    rec.add("shed", std::uint64_t(stats.shed))
-        .add("admission_deferred", std::uint64_t(stats.admission_deferred));
-  }
+  // Feature-gated fields: each appears only when its subsystem is
+  // configured or the round did what it describes.
+  if (churn_) rec.add("enrolled", std::uint64_t(stats.enrolled));
   if (resilience_.retry.backoff_base > 0.0) {
     rec.add("backoff_wait", stats.backoff_wait);
   }
@@ -836,8 +811,9 @@ void RoundLoop::state(StateArchive& ar, std::size_t& round) {
   if (state_.fail_ema.size() != num_clients_) {
     state_.fail_ema.assign(num_clients_, 0.0);
   }
-  for (const RunCounter& c : kRunCounters) {
-    ar.optional().u64("run/total/" + std::string(c.name), result_.*c.total);
+  for (std::size_t i = 0; i < kNumRunCounters; ++i) {
+    ar.optional().u64("run/total/" + std::string(kRunCounters[i].name),
+                      result_.totals[i]);
   }
   ar.optional().f64("run/series/best_accuracy", result_.best_accuracy);
   ar.optional().f64("run/series/final_accuracy", result_.final_accuracy);
@@ -866,7 +842,8 @@ void RoundLoop::state(StateArchive& ar, std::size_t& round) {
     if (ar.loading()) retune_krum();
   }
   if (churn_) churn_->state(ar, "run/churn/");
-  ar.optional(result_.total_giveups > 0)
+  ar.optional(std::ranges::any_of(result_.client_giveups,
+                                  [](std::size_t n) { return n > 0; }))
       .u64s("run/giveups", result_.client_giveups);
   result_.client_giveups.resize(num_clients_);
 }
@@ -915,6 +892,13 @@ void RoundLoop::arm(const ResilienceConfig& rule) {
 }  // namespace
 
 std::span<const RunCounter> run_counters() { return kRunCounters; }
+
+std::size_t RunResult::total(std::string_view name) const {
+  for (std::size_t i = 0; i < kNumRunCounters; ++i) {
+    if (name == kRunCounters[i].name) return totals.at(i);
+  }
+  throw std::out_of_range("unknown run counter '" + std::string(name) + "'");
+}
 
 RunResult run_federated(FederatedAlgorithm& algo, const RunOptions& opts,
                         const RoundCallback& callback) {

@@ -16,6 +16,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fl/algorithm.hpp"
@@ -206,63 +207,46 @@ struct RunOptions {
   obs::FlightRecorder* flight = nullptr;
 };
 
+/// One run total (DESIGN.md §8.5): its name, which is also its checkpoint
+/// key run/total/<name>, its round-record field counts.<name> and its
+/// registry counter fl.<name>; and how one round's stats add to it.
+struct RunCounter {
+  const char* name;
+  std::size_t (*per_round)(const RoundStats&);
+};
+
+/// The run-counter table, the one place a run total is declared. It drives
+/// RunResult::totals, the checkpoint entries, the round record's "counts"
+/// object and the registry counters, so each total equals its row summed
+/// over the rounds the run kept in `history` (with eval_every = 1).
+std::span<const RunCounter> run_counters();
+
 struct RunResult {
   std::vector<RoundRecord> history;
   /// First round at which target_accuracy was reached (if it was).
   std::optional<std::size_t> rounds_to_target;
   double final_accuracy = 0.0;
-  double total_bytes = 0.0;
   /// Highest evaluated accuracy across the run ("converge accuracy").
   double best_accuracy = 0.0;
 
-  // Participation and failure totals across every round (not just the
-  // evaluated ones). All zero on the clean path.
-  std::size_t total_selected = 0;
-  std::size_t total_dropped = 0;
-  std::size_t total_stragglers = 0;
-  std::size_t total_accepted = 0;
-  std::size_t total_rejected = 0;
-  std::size_t total_retransmissions = 0;
-  std::size_t rounds_skipped = 0;
-  /// Bytes re-sent by the bounded-retry path (also included in total_bytes).
-  double retransmitted_bytes = 0.0;
+  /// Every run_counters() row summed across every round (not just the
+  /// evaluated ones), indexed like the table.
+  std::vector<std::size_t> totals =
+      std::vector<std::size_t>(run_counters().size(), 0);
+  /// The total of the run_counters() row called `name`; throws
+  /// std::out_of_range for a name the table does not declare.
+  std::size_t total(std::string_view name) const;
 
-  // Byzantine robustness and recovery totals (all zero on the clean path).
-  std::size_t total_attacked = 0;      // adversarially crafted uplinks
-  std::size_t total_suspected = 0;     // robust-aggregator exclusions
-  std::size_t rounds_rolled_back = 0;  // divergence-guard interventions
   std::size_t checkpoints_written = 0;
-
-  // Semi-async buffering totals (all zero with async off).
-  std::size_t total_parked = 0;        // straggler updates parked
-  std::size_t total_late_commits = 0;  // parked updates that committed
   /// Updates still parked when the run ended (their bytes were paid but
-  /// they never reached aggregation).
+  /// they never reached aggregation). The parked total equals the
+  /// late_commits total + buffered_remaining + the dedup_dropped total.
   std::size_t buffered_remaining = 0;
-  /// Rounds aggregated under the escalated rule (EscalationTracker).
-  std::size_t rounds_escalated = 0;
-  /// Older parked updates superseded by a newer park from the same client
-  /// (latest-wins dedup): total_parked == total_late_commits +
-  /// buffered_remaining + total_dedup_dropped.
-  std::size_t total_dedup_dropped = 0;
 
-  // Elastic membership totals (all zero with churn off).
-  std::size_t total_joined = 0;
-  std::size_t total_left = 0;
-  std::size_t total_returned = 0;
-  /// Returning clients whose first accepted uplink was staleness-discounted.
-  std::size_t total_returning_discounted = 0;
-
-  // Admission-control totals (all zero with no budget configured).
-  std::size_t total_shed = 0;
-  std::size_t total_deferred = 0;
-
-  // Retry-discipline totals (all zero with backoff off / lossless links).
+  /// Virtual-time backoff waited across every retry (zero with backoff off).
   double total_backoff_wait = 0.0;
-  /// Uplinks abandoned after exhausting the retry budget (== the kLost
-  /// rejection total, broken down per client below).
-  std::size_t total_giveups = 0;
-  /// Per-client give-up counts (sized num_clients, zeros on clean paths).
+  /// Per-client give-up counts (sized num_clients, zeros on clean paths;
+  /// sums to the giveups total).
   std::vector<std::size_t> client_giveups;
 
   /// Server crashes injected by the failover drill (each recovered from
@@ -285,24 +269,10 @@ struct RunResult {
   /// off or nothing was repeatedly suspected).
   std::size_t krum_f_estimate = 0;
 
-  /// Final ledger counters (total_bytes / retransmitted_bytes above are
-  /// derived from this snapshot rather than re-summed by hand).
+  /// Final ledger counters: comm.total() bytes communicated, of which
+  /// comm.retransmitted were re-sent by the bounded-retry path.
   CommSnapshot comm;
 };
-
-/// One run total (DESIGN.md §8.5): its name, which is also its checkpoint
-/// key run/total/<name>; how one round's stats add to it; and the RunResult
-/// member it sums into.
-struct RunCounter {
-  const char* name;
-  std::size_t (*per_round)(const RoundStats&);
-  std::size_t RunResult::*total;
-};
-
-/// The run-counter table, one row per RunResult total. It drives
-/// accumulation and the checkpoint entries, so each total equals its row
-/// summed over the rounds the run kept in `history` (with eval_every = 1).
-std::span<const RunCounter> run_counters();
 
 using RoundCallback =
     std::function<void(std::size_t round, const RoundRecord&)>;

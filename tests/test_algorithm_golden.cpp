@@ -227,10 +227,10 @@ TEST_P(AlgorithmGolden, ThreeRoundsMatchRecordedDigest) {
   auto algo = make_algorithm(c.algo, env);
   const RunResult result = run_federated(*algo, scenario_options(c.scenario));
   if (std::string(c.scenario) == "faulty") {
-    EXPECT_GT(result.total_attacked, 0u);
-    EXPECT_GT(result.total_dropped, 0u);
+    EXPECT_GT(result.total("attacked"), 0u);
+    EXPECT_GT(result.total("dropped"), 0u);
   } else if (std::string(c.scenario) != "clean") {
-    EXPECT_GT(result.total_late_commits, 0u);
+    EXPECT_GT(result.total("late_commits"), 0u);
   }
 
   auto& global = algo->global_model();

@@ -236,10 +236,10 @@ TEST_P(AsyncOffBitIdentity, DisabledAsyncMatchesAbsentAsync) {
   ASSERT_EQ(wa.size(), wb.size());
   EXPECT_EQ(std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(float)), 0);
   EXPECT_EQ(a.final_accuracy, b.final_accuracy);
-  EXPECT_EQ(a.total_bytes, b.total_bytes);
-  EXPECT_EQ(a.total_stragglers, b.total_stragglers);
-  EXPECT_EQ(b.total_parked, 0u);
-  EXPECT_EQ(b.total_late_commits, 0u);
+  EXPECT_EQ(a.comm.total(), b.comm.total());
+  EXPECT_EQ(a.total("stragglers"), b.total("stragglers"));
+  EXPECT_EQ(b.total("parked"), 0u);
+  EXPECT_EQ(b.total("late_commits"), 0u);
   EXPECT_EQ(b.buffered_remaining, 0u);
 }
 
@@ -268,13 +268,13 @@ TEST(AsyncCommit, StragglersAreParkedAndCommitLate) {
   opts.async = ac;
 
   const auto result = run_federated(algo, opts);
-  EXPECT_GT(result.total_parked, 0u);
-  EXPECT_GT(result.total_late_commits, 0u);
+  EXPECT_GT(result.total("parked"), 0u);
+  EXPECT_GT(result.total("late_commits"), 0u);
   // Every park either commits late, stays buffered, or was superseded by a
   // newer park from the same client (latest-wins dedup).
-  EXPECT_EQ(result.total_parked,
-            result.total_late_commits + result.buffered_remaining +
-                result.total_dedup_dropped);
+  EXPECT_EQ(result.total("parked"),
+            result.total("late_commits") + result.buffered_remaining +
+                result.total("dedup_dropped"));
   // Deadline rejections are gone on the async path (lag 1 << max_lag 8).
   std::size_t rejected_deadline = 0;
   for (const auto& rec : result.history) {
@@ -303,7 +303,7 @@ TEST(AsyncCommit, LagBeyondMaxLagIsRejectedAsDeadline) {
   opts.async = ac;
 
   const auto result = run_federated(algo, opts);
-  EXPECT_EQ(result.total_parked, 0u);
+  EXPECT_EQ(result.total("parked"), 0u);
   std::size_t rejected_deadline = 0;
   for (const auto& rec : result.history) {
     rejected_deadline += rec.stats.rejected_deadline;
@@ -349,16 +349,17 @@ TEST(DeadlinePolicy, StaleWeightAndAsyncMatrix) {
   // Sync, stale_weight > 0: down-weighted, never rejected (the occasional
   // on-time draw under straggler_rate 1.0 is accepted at full weight).
   const auto grace = run_cell(0.5, std::nullopt);
-  EXPECT_GT(grace.total_stragglers, 0u);
+  EXPECT_GT(grace.total("stragglers"), 0u);
   EXPECT_EQ(sum_deadline(grace), 0u);
-  EXPECT_EQ(grace.total_accepted, grace.total_selected);
-  EXPECT_EQ(grace.total_parked, 0u);
+  EXPECT_EQ(grace.total("accepted"), grace.total("selected"));
+  EXPECT_EQ(grace.total("parked"), 0u);
 
   // Sync, stale_weight == 0: the only synchronous kDeadline case — every
   // rejection is a deadline rejection, everything else is accepted.
   const auto drop = run_cell(0.0, std::nullopt);
   EXPECT_GT(sum_deadline(drop), 0u);
-  EXPECT_EQ(drop.total_accepted + sum_deadline(drop), drop.total_selected);
+  EXPECT_EQ(drop.total("accepted") + sum_deadline(drop),
+            drop.total("selected"));
 
   // Async, lag within max_lag: parked, regardless of the sync stale_weight.
   AsyncConfig within;
@@ -366,7 +367,7 @@ TEST(DeadlinePolicy, StaleWeightAndAsyncMatrix) {
   within.max_lag = 4;
   const auto parked = run_cell(0.0, within);
   EXPECT_EQ(sum_deadline(parked), 0u);
-  EXPECT_GT(parked.total_parked, 0u);
+  EXPECT_GT(parked.total("parked"), 0u);
 
   // Async, lag beyond max_lag: kDeadline is back (the only async case).
   AsyncConfig beyond;
@@ -374,7 +375,7 @@ TEST(DeadlinePolicy, StaleWeightAndAsyncMatrix) {
   beyond.max_lag = 0;
   const auto rejected = run_cell(0.5, beyond);
   EXPECT_GT(sum_deadline(rejected), 0u);
-  EXPECT_EQ(rejected.total_parked, 0u);
+  EXPECT_EQ(rejected.total("parked"), 0u);
 }
 
 // ------------------------------------ quorum attribution (bugfix 2) --------
@@ -401,7 +402,7 @@ TEST(QuorumSkip, PostValidationThinningIsReCheckedAndAttributed) {
   const auto result = run_federated(algo, opts);
   // Admission passes (everyone shows up) but validation rejects every
   // update, so the quorum must be re-checked on the survivor set.
-  EXPECT_EQ(result.rounds_skipped, 2u);
+  EXPECT_EQ(result.total("skipped"), 2u);
   for (const auto& rec : result.history) {
     ASSERT_TRUE(rec.stats.skipped);
     EXPECT_EQ(rec.stats.skip_reason, SkipReason::kPostValidationQuorum);
@@ -428,7 +429,7 @@ TEST(QuorumSkip, AdmissionShortfallIsAttributedSeparately) {
   opts.faults = fc;
 
   const auto result = run_federated(algo, opts);
-  EXPECT_EQ(result.rounds_skipped, 2u);
+  EXPECT_EQ(result.total("skipped"), 2u);
   for (const auto& rec : result.history) {
     ASSERT_TRUE(rec.stats.skipped);
     EXPECT_EQ(rec.stats.skip_reason, SkipReason::kAdmissionQuorum);
@@ -470,7 +471,7 @@ TEST_P(AsyncResumeBitIdentity, MidBufferResumeMatchesStraightThrough) {
   FlEnvironment env1(source, 4, 0.5, 0.25, rng1);
   auto straight = make_algorithm(GetParam(), env1);
   const auto full = run_federated(*straight, async_resume_options());
-  ASSERT_GT(full.total_parked, 0u);  // the schedule must actually buffer
+  ASSERT_GT(full.total("parked"), 0u);  // the schedule must actually buffer
 
   common::Rng rng2(37);
   FlEnvironment env2(source, 4, 0.5, 0.25, rng2);
@@ -498,13 +499,13 @@ TEST_P(AsyncResumeBitIdentity, MidBufferResumeMatchesStraightThrough) {
 
   EXPECT_EQ(full.final_accuracy, resumed.final_accuracy);
   EXPECT_EQ(full.best_accuracy, resumed.best_accuracy);
-  EXPECT_EQ(full.total_bytes, resumed.total_bytes);
-  EXPECT_EQ(full.total_stragglers, resumed.total_stragglers);
-  EXPECT_EQ(full.total_accepted, resumed.total_accepted);
-  EXPECT_EQ(full.total_parked, resumed.total_parked);
-  EXPECT_EQ(full.total_late_commits, resumed.total_late_commits);
+  EXPECT_EQ(full.comm.total(), resumed.comm.total());
+  EXPECT_EQ(full.total("stragglers"), resumed.total("stragglers"));
+  EXPECT_EQ(full.total("accepted"), resumed.total("accepted"));
+  EXPECT_EQ(full.total("parked"), resumed.total("parked"));
+  EXPECT_EQ(full.total("late_commits"), resumed.total("late_commits"));
   EXPECT_EQ(full.buffered_remaining, resumed.buffered_remaining);
-  EXPECT_EQ(full.rounds_skipped, resumed.rounds_skipped);
+  EXPECT_EQ(full.total("skipped"), resumed.total("skipped"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, AsyncResumeBitIdentity,
@@ -539,14 +540,14 @@ TEST(Escalation, SustainedSuspicionEscalatesTheAggregator) {
   };
 
   const auto escalated = run_once(true);
-  EXPECT_GT(escalated.rounds_escalated, 0u);
+  EXPECT_GT(escalated.total("escalated"), 0u);
   bool flagged = false;
   for (const auto& rec : escalated.history) flagged |= rec.stats.escalated;
   EXPECT_TRUE(flagged);
 
   // Off by default: the same hostile run never escalates.
   const auto baseline = run_once(false);
-  EXPECT_EQ(baseline.rounds_escalated, 0u);
+  EXPECT_EQ(baseline.total("escalated"), 0u);
 }
 
 TEST(Escalation, TrackerTripsOnceAfterPatienceAndIsSticky) {
@@ -660,8 +661,8 @@ TEST(PhaseHistograms, TracedRoundsRecordPerPhaseLatency) {
   for (const auto& [name, histogram] : snap.histograms) {
     EXPECT_EQ(name.find(".round_ms"), std::string::npos) << name;
   }
-  // The async counters ride the same registry.
-  const auto parked = snap.counters.find("async.parked");
+  // The run counters ride the same registry as fl.<name>.
+  const auto parked = snap.counters.find("fl.parked");
   ASSERT_NE(parked, snap.counters.end());
   EXPECT_GT(parked->second, 0u);
 }

@@ -3,7 +3,10 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
+#include <sstream>
+#include <stdexcept>
 
 #include "core/spatl.hpp"
 #include "data/synthetic.hpp"
@@ -12,6 +15,9 @@
 #include "fl/fault.hpp"
 #include "fl/flat_utils.hpp"
 #include "fl/runner.hpp"
+#include "obs/export.hpp"
+#include "obs/metrics.hpp"
+#include "report/json.hpp"
 
 namespace spatl::fl {
 namespace {
@@ -193,15 +199,15 @@ TEST_P(ResumeBitIdentity, ResumedRunMatchesStraightThrough) {
 
   EXPECT_EQ(full.final_accuracy, resumed.final_accuracy);
   EXPECT_EQ(full.best_accuracy, resumed.best_accuracy);
-  EXPECT_EQ(full.total_bytes, resumed.total_bytes);
-  EXPECT_EQ(full.retransmitted_bytes, resumed.retransmitted_bytes);
-  EXPECT_EQ(full.total_selected, resumed.total_selected);
-  EXPECT_EQ(full.total_dropped, resumed.total_dropped);
-  EXPECT_EQ(full.total_accepted, resumed.total_accepted);
-  EXPECT_EQ(full.total_rejected, resumed.total_rejected);
-  EXPECT_EQ(full.total_attacked, resumed.total_attacked);
-  EXPECT_EQ(full.total_suspected, resumed.total_suspected);
-  EXPECT_EQ(full.rounds_skipped, resumed.rounds_skipped);
+  EXPECT_EQ(full.comm.total(), resumed.comm.total());
+  EXPECT_EQ(full.comm.retransmitted, resumed.comm.retransmitted);
+  EXPECT_EQ(full.total("selected"), resumed.total("selected"));
+  EXPECT_EQ(full.total("dropped"), resumed.total("dropped"));
+  EXPECT_EQ(full.total("accepted"), resumed.total("accepted"));
+  EXPECT_EQ(full.total("rejected"), resumed.total("rejected"));
+  EXPECT_EQ(full.total("attacked"), resumed.total("attacked"));
+  EXPECT_EQ(full.total("suspected"), resumed.total("suspected"));
+  EXPECT_EQ(full.total("skipped"), resumed.total("skipped"));
 
   // The resumed history covers rounds 3-4 and must equal the straight
   // run's tail record for record.
@@ -260,8 +266,9 @@ TEST(CheckpointResume, ChurnTraceAndParkedCohortSurviveResume) {
   auto straight = make_algorithm("fedavg", env1);
   const auto full = run_federated(*straight, make_options());
   // The scenario must actually exercise both subsystems.
-  ASSERT_GT(full.total_parked, 0u);
-  ASSERT_GT(full.total_joined + full.total_left + full.total_returned, 0u);
+  ASSERT_GT(full.total("parked"), 0u);
+  ASSERT_GT(
+      full.total("joined") + full.total("left") + full.total("returned"), 0u);
 
   common::Rng rng2(37);
   FlEnvironment env2(source, 6, 0.5, 0.25, rng2);
@@ -290,15 +297,15 @@ TEST(CheckpointResume, ChurnTraceAndParkedCohortSurviveResume) {
   ASSERT_EQ(wa.size(), wb.size());
   EXPECT_EQ(std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(float)), 0);
   EXPECT_EQ(full.final_accuracy, resumed.final_accuracy);
-  EXPECT_EQ(full.total_bytes, resumed.total_bytes);
-  EXPECT_EQ(full.total_parked, resumed.total_parked);
-  EXPECT_EQ(full.total_late_commits, resumed.total_late_commits);
+  EXPECT_EQ(full.comm.total(), resumed.comm.total());
+  EXPECT_EQ(full.total("parked"), resumed.total("parked"));
+  EXPECT_EQ(full.total("late_commits"), resumed.total("late_commits"));
   EXPECT_EQ(full.buffered_remaining, resumed.buffered_remaining);
-  EXPECT_EQ(full.total_joined, resumed.total_joined);
-  EXPECT_EQ(full.total_left, resumed.total_left);
-  EXPECT_EQ(full.total_returned, resumed.total_returned);
-  EXPECT_EQ(full.total_returning_discounted,
-            resumed.total_returning_discounted);
+  EXPECT_EQ(full.total("joined"), resumed.total("joined"));
+  EXPECT_EQ(full.total("left"), resumed.total("left"));
+  EXPECT_EQ(full.total("returned"), resumed.total("returned"));
+  EXPECT_EQ(full.total("returning_discounted"),
+            resumed.total("returning_discounted"));
 }
 
 // --------------------------------------------------- run-total conservation --
@@ -350,11 +357,11 @@ void expect_conserved(const RunResult& result) {
     for (const RoundRecord& rec : result.history) {
       summed += c.per_round(rec.stats);
     }
-    EXPECT_EQ(result.*c.total, summed) << c.name;
+    EXPECT_EQ(result.total(c.name), summed) << c.name;
   }
-  EXPECT_EQ(result.total_parked, result.total_late_commits +
-                                     result.buffered_remaining +
-                                     result.total_dedup_dropped);
+  EXPECT_EQ(result.total("parked"), result.total("late_commits") +
+                                        result.buffered_remaining +
+                                        result.total("dedup_dropped"));
 }
 
 TEST(RunTotals, ConservedInStraightAndCrashRecoveredRuns) {
@@ -362,17 +369,59 @@ TEST(RunTotals, ConservedInStraightAndCrashRecoveredRuns) {
   common::Rng rng1(37);
   FlEnvironment env1(source, 6, 0.5, 0.25, rng1);
   auto straight = make_algorithm("fedavg", env1);
-  const auto full = run_federated(*straight, busy_options());
+  // The straight run also feeds the two other consumers of the counter
+  // table: one telemetry record per round and the metrics registry.
+  const std::string jsonl =
+      (std::filesystem::temp_directory_path() / "spatl_run_totals.jsonl")
+          .string();
+  obs::MetricsRegistry::instance().reset();
+  RunResult full;
+  {
+    obs::JsonlWriter sink(jsonl);
+    RunOptions opts = busy_options();
+    opts.telemetry = &sink;
+    opts.telemetry_every = 1;
+    full = run_federated(*straight, opts);
+  }
   ASSERT_EQ(full.history.size(), 6u);
   // The scenario must exercise the subsystems the table counts.
-  ASSERT_GT(full.total_dropped, 0u);
-  ASSERT_GT(full.total_stragglers, 0u);
-  ASSERT_GT(full.total_parked, 0u);
-  ASSERT_GT(full.total_attacked, 0u);
-  ASSERT_GT(full.total_deferred, 0u);
-  ASSERT_GT(full.total_joined + full.total_left + full.total_returned, 0u);
-  ASSERT_GT(full.total_retransmissions, 0u);
+  ASSERT_GT(full.total("dropped"), 0u);
+  ASSERT_GT(full.total("stragglers"), 0u);
+  ASSERT_GT(full.total("parked"), 0u);
+  ASSERT_GT(full.total("attacked"), 0u);
+  ASSERT_GT(full.total("deferred"), 0u);
+  ASSERT_GT(
+      full.total("joined") + full.total("left") + full.total("returned"), 0u);
+  ASSERT_GT(full.total("retransmissions"), 0u);
   expect_conserved(full);
+
+  // Each row's per-round values in the round records sum to the run total,
+  // which the registry's fl.<name> counter also reaches.
+  std::ifstream in(jsonl);
+  std::stringstream text;
+  text << in.rdbuf();
+  in.close();
+  std::filesystem::remove(jsonl);
+  std::vector<report::JsonValue> records;
+  std::string err;
+  ASSERT_TRUE(report::parse_jsonl(text.str(), &records, &err)) << err;
+  ASSERT_EQ(records.size(), 6u);
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::instance().snapshot();
+  for (const RunCounter& c : run_counters()) {
+    std::uint64_t summed = 0;
+    for (const report::JsonValue& rec : records) {
+      ASSERT_EQ(rec.str("type"), "round");
+      const report::JsonValue* counts = rec.find("counts");
+      ASSERT_NE(counts, nullptr);
+      ASSERT_NE(counts->find(c.name), nullptr) << c.name;
+      summed += counts->u64(c.name);
+    }
+    EXPECT_EQ(summed, full.total(c.name)) << c.name;
+    const auto metric = snap.counters.find("fl." + std::string(c.name));
+    ASSERT_NE(metric, snap.counters.end()) << c.name;
+    EXPECT_EQ(metric->second, full.total(c.name)) << c.name;
+  }
+  EXPECT_THROW(full.total("no_such_counter"), std::out_of_range);
 
   // Twin: crash after round 3 and recover from the round-2 store generation,
   // which carries a budget-deferred client into round 3.
@@ -396,9 +445,7 @@ TEST(RunTotals, ConservedInStraightAndCrashRecoveredRuns) {
 
   // The recovered loop state replays the lost rounds exactly, so the twin
   // ends on the straight run's totals, not merely self-consistent ones.
-  for (const RunCounter& c : run_counters()) {
-    EXPECT_EQ(twin.*c.total, full.*c.total) << c.name;
-  }
+  EXPECT_EQ(twin.totals, full.totals);
   EXPECT_EQ(twin.total_backoff_wait, full.total_backoff_wait);
   EXPECT_EQ(twin.client_giveups, full.client_giveups);
   EXPECT_EQ(twin.buffered_remaining, full.buffered_remaining);
@@ -433,7 +480,7 @@ TEST(DivergenceGuard, RollsBackExplodedRoundsAndReaggregatesRobustly) {
   opts.divergence_factor = 2.0;
 
   const auto result = run_federated(algo, opts);
-  EXPECT_GT(result.rounds_rolled_back, 0u);
+  EXPECT_GT(result.total("rolled_back"), 0u);
   bool flagged = false;
   for (const auto& rec : result.history) flagged |= rec.stats.rolled_back;
   EXPECT_TRUE(flagged);
@@ -453,7 +500,7 @@ TEST(DivergenceGuard, QuietRunsAreNeverRolledBack) {
   opts.rounds = 3;
   opts.divergence_factor = 10.0;  // generous: normal training never trips it
   const auto result = run_federated(algo, opts);
-  EXPECT_EQ(result.rounds_rolled_back, 0u);
+  EXPECT_EQ(result.total("rolled_back"), 0u);
   for (const auto& rec : result.history) EXPECT_FALSE(rec.stats.rolled_back);
 }
 

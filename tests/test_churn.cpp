@@ -310,10 +310,10 @@ TEST_P(ChurnOffBitIdentity, InertChurnMatchesAbsentChurn) {
   ASSERT_EQ(wa.size(), wb.size());
   EXPECT_EQ(std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(float)), 0);
   EXPECT_EQ(a.final_accuracy, b.final_accuracy);
-  EXPECT_EQ(a.total_bytes, b.total_bytes);
-  EXPECT_EQ(b.total_joined, 0u);
-  EXPECT_EQ(b.total_left, 0u);
-  EXPECT_EQ(b.total_shed, 0u);
+  EXPECT_EQ(a.comm.total(), b.comm.total());
+  EXPECT_EQ(b.total("joined"), 0u);
+  EXPECT_EQ(b.total("left"), 0u);
+  EXPECT_EQ(b.total("shed"), 0u);
   // Telemetry bytes, not just floats.
   EXPECT_EQ(slurp(path_a), slurp(path_b));
   std::remove(path_a.c_str());
@@ -342,7 +342,8 @@ TEST_P(ChurnActive, AllAlgorithmsSurviveEnrollmentChanges) {
   opts.churn = busy_churn();
   const auto result = run_federated(*algo, opts);
 
-  EXPECT_GT(result.total_left + result.total_joined + result.total_returned,
+  EXPECT_GT(result.total("left") + result.total("joined") +
+                result.total("returned"),
             0u);
   EXPECT_TRUE(is_finite(global_weights(*algo)));
   EXPECT_GT(result.final_accuracy, 0.0);
@@ -371,10 +372,10 @@ TEST(ChurnRun, ReturningClientsAreDiscountedOnce) {
   cc.seed = 17;
   opts.churn = cc;
   const auto result = run_federated(algo, opts);
-  EXPECT_GT(result.total_returned, 0u);
-  EXPECT_GT(result.total_returning_discounted, 0u);
+  EXPECT_GT(result.total("returned"), 0u);
+  EXPECT_GT(result.total("returning_discounted"), 0u);
   // At most one discount per return event.
-  EXPECT_LE(result.total_returning_discounted, result.total_returned);
+  EXPECT_LE(result.total("returning_discounted"), result.total("returned"));
   EXPECT_TRUE(is_finite(global_weights(algo)));
 }
 
@@ -412,9 +413,9 @@ TEST(ChurnRun, ResumeWithActiveChurnIsBitIdentical) {
   ASSERT_EQ(wa.size(), wb.size());
   EXPECT_EQ(std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(float)), 0);
   EXPECT_EQ(full_result.final_accuracy, tail_result.final_accuracy);
-  EXPECT_EQ(full_result.total_joined, tail_result.total_joined);
-  EXPECT_EQ(full_result.total_left, tail_result.total_left);
-  EXPECT_EQ(full_result.total_returned, tail_result.total_returned);
+  EXPECT_EQ(full_result.total("joined"), tail_result.total("joined"));
+  EXPECT_EQ(full_result.total("left"), tail_result.total("left"));
+  EXPECT_EQ(full_result.total("returned"), tail_result.total("returned"));
 }
 
 // ---------------------------------------------------------- admission control --
@@ -435,14 +436,14 @@ TEST(Admission, ParticipantCapShedsDeterministically) {
   };
 
   const auto a = run_once();
-  EXPECT_GT(a.total_shed, 0u);
-  EXPECT_EQ(a.total_deferred, 0u);
+  EXPECT_GT(a.total("shed"), 0u);
+  EXPECT_EQ(a.total("deferred"), 0u);
   for (const auto& rec : a.history) {
     EXPECT_LE(rec.stats.accepted, 2u);
   }
   // Deterministic: an identical run sheds identically.
   const auto b = run_once();
-  EXPECT_EQ(a.total_shed, b.total_shed);
+  EXPECT_EQ(a.total("shed"), b.total("shed"));
   EXPECT_EQ(a.final_accuracy, b.final_accuracy);
 }
 
@@ -457,8 +458,8 @@ TEST(Admission, DeferQueuesExcessIntoNextRound) {
   opts.admission.max_participants = 3;
   opts.admission.policy = AdmissionPolicy::kDefer;
   const auto result = run_federated(algo, opts);
-  EXPECT_GT(result.total_deferred, 0u);
-  EXPECT_EQ(result.total_shed, 0u);
+  EXPECT_GT(result.total("deferred"), 0u);
+  EXPECT_EQ(result.total("shed"), 0u);
 }
 
 TEST(Admission, ByteBudgetBelowOneUplinkSkipsWithBudgetReason) {
@@ -472,7 +473,7 @@ TEST(Admission, ByteBudgetBelowOneUplinkSkipsWithBudgetReason) {
   // Below the cost of a single uplink: every round is shed empty.
   opts.admission.max_uplink_bytes = 1.0;
   const auto result = run_federated(algo, opts);
-  EXPECT_EQ(result.rounds_skipped, 2u);
+  EXPECT_EQ(result.total("skipped"), 2u);
   for (const auto& rec : result.history) {
     EXPECT_TRUE(rec.stats.skipped);
     EXPECT_EQ(rec.stats.skip_reason, SkipReason::kAdmissionBudget);
@@ -573,10 +574,10 @@ TEST(RetryPolicy, GiveUpsAreAccountedPerClient) {
   rc.retry.backoff_base = 0.5;
   opts.resilience = rc;
   const auto result = run_federated(algo, opts);
-  EXPECT_GT(result.total_giveups, 0u);
+  EXPECT_GT(result.total("giveups"), 0u);
   std::size_t per_client = 0;
   for (const std::size_t g : result.client_giveups) per_client += g;
-  EXPECT_EQ(per_client, result.total_giveups);
+  EXPECT_EQ(per_client, result.total("giveups"));
   EXPECT_GT(result.total_backoff_wait, 0.0);
 }
 

@@ -206,7 +206,7 @@ TEST(LocalOnly, TrainsWithoutAnyCommunication) {
   ro.rounds = 3;
   const auto result = fl::run_federated(algo, ro);
   EXPECT_GT(result.final_accuracy, before);
-  EXPECT_DOUBLE_EQ(result.total_bytes, 0.0);
+  EXPECT_DOUBLE_EQ(result.comm.total(), 0.0);
   EXPECT_EQ(algo.per_client_accuracy().size(), 3u);
 }
 

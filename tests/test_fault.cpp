@@ -269,15 +269,15 @@ TEST_P(CleanPathIdentity, ZeroRatesAreBitIdenticalToUndefended) {
     EXPECT_EQ(ra.history[i].avg_loss, rb.history[i].avg_loss);
     EXPECT_EQ(ra.history[i].cumulative_bytes, rb.history[i].cumulative_bytes);
   }
-  EXPECT_EQ(ra.total_bytes, rb.total_bytes);
+  EXPECT_EQ(ra.comm.total(), rb.comm.total());
   EXPECT_EQ(ra.final_accuracy, rb.final_accuracy);
   const auto wa = global_weights(*a);
   const auto wb = global_weights(*b);
   ASSERT_EQ(wa.size(), wb.size());
   EXPECT_EQ(std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(float)), 0);
-  EXPECT_EQ(rb.rounds_skipped, 0u);
-  EXPECT_EQ(rb.total_rejected, 0u);
-  EXPECT_EQ(rb.retransmitted_bytes, 0.0);
+  EXPECT_EQ(rb.total("skipped"), 0u);
+  EXPECT_EQ(rb.total("rejected"), 0u);
+  EXPECT_EQ(rb.comm.retransmitted, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, CleanPathIdentity,
@@ -301,8 +301,8 @@ TEST(Resilience, NanCorruptedUpdatesAreRejectedAndGlobalStaysFinite) {
 
   const auto result = run_federated(algo, opts);
   EXPECT_TRUE(is_finite(global_weights(algo)));
-  EXPECT_GT(result.total_rejected, 0u);
-  EXPECT_GT(result.total_accepted, 0u);
+  EXPECT_GT(result.total("rejected"), 0u);
+  EXPECT_GT(result.total("accepted"), 0u);
   // Per-round reject counts surface in the history records.
   std::size_t history_rejects = 0;
   for (const auto& rec : result.history) {
@@ -326,8 +326,8 @@ TEST(Resilience, FullCorruptionSkipsAggregationAndLeavesWeightsUntouched) {
   opts.faults = fc;
 
   const auto result = run_federated(algo, opts);
-  EXPECT_EQ(result.rounds_skipped, 2u);
-  EXPECT_EQ(result.total_accepted, 0u);
+  EXPECT_EQ(result.total("skipped"), 2u);
+  EXPECT_EQ(result.total("accepted"), 0u);
   const auto after = global_weights(algo);
   ASSERT_EQ(before.size(), after.size());
   EXPECT_EQ(std::memcmp(before.data(), after.data(),
@@ -352,8 +352,8 @@ TEST(Resilience, QuorumSkipsRoundsWithTooFewLiveClients) {
   opts.resilience = rc;
 
   const auto result = run_federated(algo, opts);
-  EXPECT_EQ(result.rounds_skipped, 3u);
-  EXPECT_EQ(result.total_dropped, 3u * 4u);
+  EXPECT_EQ(result.total("skipped"), 3u);
+  EXPECT_EQ(result.total("dropped"), 3u * 4u);
   const auto after = global_weights(algo);
   EXPECT_EQ(std::memcmp(before.data(), after.data(),
                         before.size() * sizeof(float)),
@@ -374,9 +374,9 @@ TEST(Resilience, NormBoundRejectsOversizedUpdates) {
   opts.resilience = rc;
 
   const auto result = run_federated(algo, opts);
-  EXPECT_EQ(result.total_accepted, 0u);
-  EXPECT_EQ(result.rounds_skipped, 1u);
-  EXPECT_GT(result.total_rejected, 0u);
+  EXPECT_EQ(result.total("accepted"), 0u);
+  EXPECT_EQ(result.total("skipped"), 1u);
+  EXPECT_GT(result.total("rejected"), 0u);
   const auto after = global_weights(algo);
   EXPECT_EQ(std::memcmp(before.data(), after.data(),
                         before.size() * sizeof(float)),
@@ -405,16 +405,16 @@ TEST(Resilience, RetryPathMetersRetransmittedBytes) {
   opts.resilience = rc;
   const auto lossy_result = run_federated(lossy, opts);
 
-  EXPECT_GT(lossy_result.total_retransmissions, 0u);
-  EXPECT_GT(lossy_result.retransmitted_bytes, 0.0);
+  EXPECT_GT(lossy_result.total("retransmissions"), 0u);
+  EXPECT_GT(lossy_result.comm.retransmitted, 0.0);
   EXPECT_DOUBLE_EQ(lossy.ledger().retransmitted_bytes(),
-                   lossy_result.retransmitted_bytes);
+                   lossy_result.comm.retransmitted);
   // Retransmissions are part of the uplink totals (eq. 13 stays honest).
   EXPECT_GT(lossy.ledger().uplink_bytes(), 0.0);
   EXPECT_DOUBLE_EQ(
       lossy.ledger().uplink_bytes() - lossy.ledger().retransmitted_bytes() +
           lossy.ledger().downlink_bytes(),
-      clean_result.total_bytes);
+      clean_result.comm.total());
   EXPECT_EQ(clean.ledger().retransmitted_bytes(), 0.0);
 }
 
@@ -435,9 +435,9 @@ TEST(Resilience, StragglersAreDownWeightedOrRejected) {
     opts.rounds = 2;
     opts.faults = fc;
     const auto result = run_federated(algo, opts);
-    EXPECT_EQ(result.total_stragglers, 2u * 4u);
-    EXPECT_EQ(result.total_accepted, 2u * 4u);
-    EXPECT_EQ(result.rounds_skipped, 0u);
+    EXPECT_EQ(result.total("stragglers"), 2u * 4u);
+    EXPECT_EQ(result.total("accepted"), 2u * 4u);
+    EXPECT_EQ(result.total("skipped"), 0u);
   }
   // stale_weight == 0: past-deadline updates are rejected outright.
   {
@@ -450,8 +450,8 @@ TEST(Resilience, StragglersAreDownWeightedOrRejected) {
     rc.stale_weight = 0.0;
     opts.resilience = rc;
     const auto result = run_federated(algo, opts);
-    EXPECT_EQ(result.total_accepted, 0u);
-    EXPECT_EQ(result.rounds_skipped, 2u);
+    EXPECT_EQ(result.total("accepted"), 0u);
+    EXPECT_EQ(result.total("skipped"), 2u);
     const auto after = global_weights(algo);
     EXPECT_EQ(std::memcmp(before.data(), after.data(),
                           before.size() * sizeof(float)),
@@ -495,11 +495,11 @@ TEST(Resilience, FaultInjectionIsDeterministicAcrossRuns) {
     EXPECT_EQ(x.stats.retransmissions, y.stats.retransmissions);
     EXPECT_EQ(x.stats.skipped, y.stats.skipped);
   }
-  EXPECT_EQ(ra.total_bytes, rb.total_bytes);
-  EXPECT_EQ(ra.retransmitted_bytes, rb.retransmitted_bytes);
-  EXPECT_EQ(ra.total_dropped, rb.total_dropped);
-  EXPECT_EQ(ra.total_rejected, rb.total_rejected);
-  EXPECT_EQ(ra.rounds_skipped, rb.rounds_skipped);
+  EXPECT_EQ(ra.comm.total(), rb.comm.total());
+  EXPECT_EQ(ra.comm.retransmitted, rb.comm.retransmitted);
+  EXPECT_EQ(ra.total("dropped"), rb.total("dropped"));
+  EXPECT_EQ(ra.total("rejected"), rb.total("rejected"));
+  EXPECT_EQ(ra.total("skipped"), rb.total("skipped"));
 }
 
 TEST(Resilience, SpatlSurvivesCorruptionAndDropout) {
@@ -522,7 +522,7 @@ TEST(Resilience, SpatlSurvivesCorruptionAndDropout) {
   const auto result = run_federated(algo, opts);
   EXPECT_TRUE(is_finite(
       nn::flatten_values(algo.global_model().encoder_params())));
-  EXPECT_GT(result.total_rejected + result.total_dropped, 0u);
+  EXPECT_GT(result.total("rejected") + result.total("dropped"), 0u);
   ASSERT_FALSE(result.history.empty());
   EXPECT_GE(result.final_accuracy, 0.0);
 }

@@ -123,7 +123,7 @@ TEST_P(BaselineLearning, ImprovesAccuracyOverRounds) {
   const auto result = run_federated(*algo, opts);
   EXPECT_GT(result.final_accuracy, before + 0.1)
       << GetParam() << " failed to learn";
-  EXPECT_GT(result.total_bytes, 0.0);
+  EXPECT_GT(result.comm.total(), 0.0);
   ASSERT_EQ(result.history.size(), 4u);
 }
 

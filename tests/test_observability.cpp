@@ -443,9 +443,6 @@ TEST(Telemetry, RunnerEmitsOneRoundRecordPerRoundWithPhases) {
     opts.telemetry = &telemetry;
     const fl::RunResult result = run_fed(opts, nullptr);
     EXPECT_EQ(telemetry.lines(), 3u);
-    // RunResult totals are derived from the final ledger snapshot.
-    EXPECT_EQ(result.total_bytes, result.comm.total());
-    EXPECT_EQ(result.retransmitted_bytes, result.comm.retransmitted);
   }
   tracer.set_enabled(false);
 

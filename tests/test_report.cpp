@@ -94,28 +94,39 @@ TEST(ReportJson, JsonlReportsTheFailingLine) {
 // Folding + rendering + diff
 
 const char kStream[] =
-    "{\"type\":\"round\",\"algo\":\"fedavg\",\"round\":1,\"selected\":4,"
-    "\"skipped\":false,\"comm\":{\"uplink_bytes\":10,\"downlink_bytes\":20,"
+    "{\"type\":\"round\",\"algo\":\"fedavg\",\"round\":1,"
+    "\"counts\":{\"selected\":4,\"skipped\":0},"
+    "\"comm\":{\"uplink_bytes\":10,\"downlink_bytes\":20,"
     "\"retransmitted_bytes\":0,\"cumulative_bytes\":30},"
     "\"eval\":{\"avg_accuracy\":0.4,\"avg_loss\":1.5}}\n"
-    "{\"type\":\"round\",\"algo\":\"fedavg\",\"round\":2,\"selected\":4,"
-    "\"skipped\":true,\"comm\":{\"uplink_bytes\":10,\"downlink_bytes\":20,"
+    "{\"type\":\"round\",\"algo\":\"fedavg\",\"round\":2,"
+    "\"counts\":{\"selected\":4,\"skipped\":1},"
+    "\"comm\":{\"uplink_bytes\":10,\"downlink_bytes\":20,"
     "\"retransmitted_bytes\":0,\"cumulative_bytes\":60}}\n"
     "{\"type\":\"mystery\",\"round\":2}\n";
 
 TEST(ReportFold, CountsUnknownRecordTypes) {
+  // A round record in the pre-"counts" shape is schema drift: counted as
+  // unknown, not folded as zeros.
+  const std::string stream =
+      std::string(kStream) +
+      "{\"type\":\"round\",\"algo\":\"fedavg\",\"round\":3,\"selected\":4,"
+      "\"skipped\":false,\"comm\":{\"uplink_bytes\":10,"
+      "\"downlink_bytes\":20,\"retransmitted_bytes\":0,"
+      "\"cumulative_bytes\":90}}\n";
   std::vector<JsonValue> records;
   std::string err;
-  ASSERT_TRUE(parse_jsonl(kStream, &records, &err)) << err;
+  ASSERT_TRUE(parse_jsonl(stream, &records, &err)) << err;
   const HealthReport r = build_report(records, nullptr);
   EXPECT_EQ(r.algo, "fedavg");
   EXPECT_EQ(r.round_records, 2u);
+  EXPECT_EQ(r.last_round, 2u);
   EXPECT_EQ(r.rounds_skipped, 1u);
   EXPECT_EQ(r.selected, 8u);
   EXPECT_TRUE(r.has_eval);
   EXPECT_DOUBLE_EQ(r.final_accuracy, 0.4);
   EXPECT_DOUBLE_EQ(r.cumulative_bytes, 60.0);
-  EXPECT_EQ(r.unknown_records, 1u);
+  EXPECT_EQ(r.unknown_records, 2u);
 }
 
 TEST(ReportRender, JsonIsDeterministicAndReparses) {

@@ -404,9 +404,9 @@ TEST_P(RobustCleanIdentity, MeanAggregatorIsBitIdenticalToUndefended) {
   const auto ra = run_federated(*a, clean);
   const auto rb = run_federated(*b, defended);
   EXPECT_EQ(ra.final_accuracy, rb.final_accuracy);
-  EXPECT_EQ(ra.total_bytes, rb.total_bytes);
-  EXPECT_EQ(rb.total_attacked, 0u);
-  EXPECT_EQ(rb.total_suspected, 0u);
+  EXPECT_EQ(ra.comm.total(), rb.comm.total());
+  EXPECT_EQ(rb.total("attacked"), 0u);
+  EXPECT_EQ(rb.total("suspected"), 0u);
   const auto wa = global_weights(*a);
   const auto wb = global_weights(*b);
   ASSERT_EQ(wa.size(), wb.size());
@@ -441,9 +441,9 @@ TEST_P(ReroutedDefenceStack, AttacksDropoutsAndMedianAllApply) {
   opts.resilience = rc;
 
   const auto result = run_federated(*algo, opts);
-  EXPECT_GT(result.total_attacked, 0u);
-  EXPECT_GT(result.total_accepted, 0u);
-  EXPECT_GT(result.total_dropped, 0u);
+  EXPECT_GT(result.total("attacked"), 0u);
+  EXPECT_GT(result.total("accepted"), 0u);
+  EXPECT_GT(result.total("dropped"), 0u);
   EXPECT_TRUE(is_finite(global_weights(*algo)));
 }
 
@@ -467,7 +467,7 @@ TEST(RobustRun, AttackersAreAttributedInRoundStats) {
   opts.resilience = rc;
 
   const auto result = run_federated(algo, opts);
-  EXPECT_EQ(result.total_attacked, 2u);  // one attacker, two rounds
+  EXPECT_EQ(result.total("attacked"), 2u);  // one attacker, two rounds
   for (const auto& rec : result.history) {
     EXPECT_EQ(rec.stats.attackers, (std::vector<std::size_t>{0}));
   }
@@ -494,7 +494,7 @@ TEST(RobustRun, KrumSuspectsTheScaledAttacker) {
   opts.resilience = rc;
 
   const auto result = run_federated(algo, opts);
-  EXPECT_GT(result.total_suspected, 0u);
+  EXPECT_GT(result.total("suspected"), 0u);
   for (const auto& rec : result.history) {
     EXPECT_EQ(rec.stats.suspects, (std::vector<std::size_t>{0}));
   }
@@ -570,7 +570,7 @@ TEST(RobustRun, SpatlMaskedUplinksSurviveByzantineClients) {
   opts.resilience = rc;
 
   const auto result = run_federated(algo, opts);
-  EXPECT_EQ(result.total_attacked, 3u);
+  EXPECT_EQ(result.total("attacked"), 3u);
   EXPECT_TRUE(is_finite(
       nn::flatten_values(algo.global_model().encoder_params())));
   EXPECT_GE(result.final_accuracy, 0.0);
@@ -601,9 +601,9 @@ TEST(FaultAwareSampling, FlakyClientsAreSelectedLess) {
   const auto aware = run_with(true);
   // Uniform sampling keeps wasting slots on dead clients; the EMA-weighted
   // sampler routes selection to the live half after the first few rounds.
-  EXPECT_LT(aware.total_dropped * 2, uniform.total_dropped);
-  EXPECT_GT(aware.total_accepted, uniform.total_accepted);
-  EXPECT_EQ(aware.total_selected, uniform.total_selected);
+  EXPECT_LT(aware.total("dropped") * 2, uniform.total("dropped"));
+  EXPECT_GT(aware.total("accepted"), uniform.total("accepted"));
+  EXPECT_EQ(aware.total("selected"), uniform.total("selected"));
 }
 
 }  // namespace

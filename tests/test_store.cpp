@@ -740,7 +740,7 @@ TEST(KrumAutoF, RepeatSuspectsRaiseTheByzantineBound) {
   // viability clamp (participants - 3 = 5).
   EXPECT_GE(result.krum_f_estimate, 2u);
   EXPECT_LE(result.krum_f_estimate, 5u);
-  EXPECT_GT(result.total_suspected, 0u);
+  EXPECT_GT(result.total("suspected"), 0u);
   // The suspicion ledger rides the snapshot.
   EXPECT_NE(result.last_checkpoint.find("run/krum_ledger"), nullptr);
 }

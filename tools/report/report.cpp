@@ -14,7 +14,9 @@ namespace spatl::report {
 
 namespace {
 
-void fold_round(const JsonValue& rec, HealthReport* r,
+/// Folds one round record; `counts` is its run-counter object.
+void fold_round(const JsonValue& rec, const JsonValue& counts,
+                HealthReport* r,
                 std::map<std::string, obs::LogBucketSketch>* sketches) {
   if (r->round_records == 0) {
     r->algo = rec.str("algo");
@@ -23,15 +25,15 @@ void fold_round(const JsonValue& rec, HealthReport* r,
   ++r->round_records;
   r->last_round = rec.u64("round");
 
-  r->selected += rec.u64("selected");
-  r->dropped += rec.u64("dropped");
-  r->stragglers += rec.u64("stragglers");
-  r->accepted += rec.u64("accepted");
-  r->rejected += rec.u64("rejected");
-  r->retransmissions += rec.u64("retransmissions");
-  if (rec.flag("skipped")) ++r->rounds_skipped;
-  if (rec.flag("rolled_back")) ++r->rollbacks;
-  if (rec.flag("escalated")) ++r->escalations;
+  r->selected += counts.u64("selected");
+  r->dropped += counts.u64("dropped");
+  r->stragglers += counts.u64("stragglers");
+  r->accepted += counts.u64("accepted");
+  r->rejected += counts.u64("rejected");
+  r->retransmissions += counts.u64("retransmissions");
+  r->rounds_skipped += counts.u64("skipped");
+  r->rollbacks += counts.u64("rolled_back");
+  r->escalations += counts.u64("escalated");
 
   if (const JsonValue* comm = rec.find("comm")) {
     r->uplink_bytes += comm->num("uplink_bytes");
@@ -86,8 +88,9 @@ HealthReport build_report(const std::vector<JsonValue>& records,
   std::map<std::string, obs::LogBucketSketch> sketches;
   for (const JsonValue& rec : records) {
     const std::string type = rec.str("type");
-    if (type == "round") {
-      fold_round(rec, &r, &sketches);
+    const JsonValue* counts = type == "round" ? rec.find("counts") : nullptr;
+    if (counts != nullptr) {
+      fold_round(rec, *counts, &r, &sketches);
     } else if (type == "alert") {
       ++r.alerts;
       ++r.alerts_by_rule[rec.str("rule", "?")];
@@ -102,6 +105,7 @@ HealthReport build_report(const std::vector<JsonValue>& records,
       // The end-of-run registry snapshot duplicates what the per-round
       // records already carry; acknowledged but not folded.
     } else {
+      // Includes a round record without "counts": schema drift, not zeros.
       ++r.unknown_records;
     }
   }
@@ -349,9 +353,9 @@ namespace {
 // Known-input stream for the self-test: two traced rounds with eval, an
 // alert, a crash + failed recovery load, and a flight dump.
 const char kSelfTestJsonl[] =
-    R"({"type":"round","algo":"spatl","round":1,"selected":4,"dropped":1,"stragglers":0,"accepted":3,"rejected":1,"retransmissions":2,"skipped":false,"rolled_back":false,"escalated":false,"comm":{"uplink_bytes":1000,"downlink_bytes":2000,"retransmitted_bytes":100,"cumulative_bytes":3000},"eval":{"avg_accuracy":0.5,"avg_loss":1.2},"phases":{"fl/aggregate":{"total_ns":2000000,"count":1},"fl/local_train":{"total_ns":8000000,"count":4}}}
+    R"({"type":"round","algo":"spatl","round":1,"counts":{"selected":4,"dropped":1,"stragglers":0,"accepted":3,"rejected":1,"retransmissions":2,"skipped":0,"rolled_back":0,"escalated":0},"comm":{"uplink_bytes":1000,"downlink_bytes":2000,"retransmitted_bytes":100,"cumulative_bytes":3000},"eval":{"avg_accuracy":0.5,"avg_loss":1.2},"phases":{"fl/aggregate":{"total_ns":2000000,"count":1},"fl/local_train":{"total_ns":8000000,"count":4}}}
 {"type":"alert","rule":"acc-floor","metric":"eval.avg_accuracy","value":0.5,"threshold":0.6,"direction":"below","round":1}
-{"type":"round","algo":"spatl","round":2,"selected":4,"dropped":0,"stragglers":1,"accepted":4,"rejected":0,"retransmissions":0,"skipped":false,"rolled_back":true,"escalated":false,"comm":{"uplink_bytes":1200,"downlink_bytes":2000,"retransmitted_bytes":0,"cumulative_bytes":6200},"eval":{"avg_accuracy":0.7,"avg_loss":0.9},"phases":{"fl/aggregate":{"total_ns":4000000,"count":1},"fl/local_train":{"total_ns":6000000,"count":4}}}
+{"type":"round","algo":"spatl","round":2,"counts":{"selected":4,"dropped":0,"stragglers":1,"accepted":4,"rejected":0,"retransmissions":0,"skipped":0,"rolled_back":1,"escalated":0},"comm":{"uplink_bytes":1200,"downlink_bytes":2000,"retransmitted_bytes":0,"cumulative_bytes":6200},"eval":{"avg_accuracy":0.7,"avg_loss":0.9},"phases":{"fl/aggregate":{"total_ns":4000000,"count":1},"fl/local_train":{"total_ns":6000000,"count":4}}}
 {"type":"recovery","phase":"load","round":2,"path":"g0.ckpt","attempt":1,"ok":false,"error":"crc mismatch"}
 {"type":"crash","algo":"spatl","round":2,"recovered_to":1,"source":"baseline"}
 {"type":"flight","trigger":"crash_drill","round":2,"window":2,"rounds_seen":2,"rounds_dropped":0,"first_round":1,"last_round":2,"records":[]}

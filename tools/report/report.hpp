@@ -87,8 +87,9 @@ struct HealthReport {
   std::uint64_t trace_events = 0;
   double trace_total_ms = 0.0;
 
-  // Records whose "type" is missing or unrecognised — should stay zero on
-  // a healthy stream; surfaced so schema drift is visible in the report.
+  // Records whose "type" is missing or unrecognised, and round records
+  // without a "counts" object — should stay zero on a healthy stream;
+  // surfaced so schema drift is visible in the report.
   std::uint64_t unknown_records = 0;
 };
 

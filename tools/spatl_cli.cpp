@@ -376,50 +376,51 @@ int cmd_train(const common::Flags& flags) {
   std::printf("\n%s: final %5.1f%% (best %5.1f%%), %s communicated\n",
               algorithm->name().c_str(), result.final_accuracy * 100.0,
               result.best_accuracy * 100.0,
-              common::format_bytes(result.total_bytes).c_str());
+              common::format_bytes(result.comm.total()).c_str());
   if (ro.faults || ro.resilience) {
     std::printf(
         "participation: %zu selected, %zu accepted, %zu dropped, "
         "%zu stragglers, %zu rejected, %zu rounds skipped\n"
         "retry path: %zu retransmissions, %s retransmitted\n",
-        result.total_selected, result.total_accepted, result.total_dropped,
-        result.total_stragglers, result.total_rejected,
-        result.rounds_skipped, result.total_retransmissions,
-        common::format_bytes(result.retransmitted_bytes).c_str());
-    if (result.total_parked > 0 || result.buffered_remaining > 0) {
+        result.total("selected"), result.total("accepted"),
+        result.total("dropped"), result.total("stragglers"),
+        result.total("rejected"),
+        result.total("skipped"), result.total("retransmissions"),
+        common::format_bytes(result.comm.retransmitted).c_str());
+    if (result.total("parked") > 0 || result.buffered_remaining > 0) {
       std::printf(
           "semi-async: %zu parked, %zu committed late, %zu still buffered "
           "at exit\n",
-          result.total_parked, result.total_late_commits,
+          result.total("parked"), result.total("late_commits"),
           result.buffered_remaining);
     }
-    if (result.rounds_escalated > 0) {
+    if (result.total("escalated") > 0) {
       std::printf("escalation: %zu rounds under the escalated aggregator\n",
-                  result.rounds_escalated);
+                  result.total("escalated"));
     }
-    if (result.total_backoff_wait > 0.0 || result.total_giveups > 0) {
+    if (result.total_backoff_wait > 0.0 || result.total("giveups") > 0) {
       std::printf("retry discipline: %.2f total backoff wait, %zu give-ups\n",
-                  result.total_backoff_wait, result.total_giveups);
+                  result.total_backoff_wait, result.total("giveups"));
     }
-    if (result.total_attacked > 0 || result.total_suspected > 0 ||
-        result.rounds_rolled_back > 0) {
+    if (result.total("attacked") > 0 || result.total("suspected") > 0 ||
+        result.total("rolled_back") > 0) {
       std::printf(
           "robustness: %zu attacked uplinks, %zu suspected by the "
           "aggregator, %zu rounds rolled back\n",
-          result.total_attacked, result.total_suspected,
-          result.rounds_rolled_back);
+          result.total("attacked"), result.total("suspected"),
+          result.total("rolled_back"));
     }
   }
   if (ro.churn) {
     std::printf(
         "churn: %zu joined, %zu left, %zu returned, %zu returning "
         "uplinks discounted\n",
-        result.total_joined, result.total_left, result.total_returned,
-        result.total_returning_discounted);
+        result.total("joined"), result.total("left"), result.total("returned"),
+        result.total("returning_discounted"));
   }
   if (ro.admission.limited()) {
     std::printf("admission: %zu shed, %zu deferred (%s policy)\n",
-                result.total_shed, result.total_deferred,
+                result.total("shed"), result.total("deferred"),
                 fl::admission_policy_name(ro.admission.policy));
   }
   if (result.crashes_injected > 0) {
