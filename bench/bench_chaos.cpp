@@ -1,15 +1,17 @@
 // E-CHAOS — Everything-at-once resilience drill (DESIGN.md §13): elastic
-// churn, Byzantine scale attacks, stragglers, mid-run server crashes, AND a
+// churn, Byzantine scale attacks, stragglers, mid-run server restarts, AND a
 // hostile disk tearing / bit-rotting the durable checkpoint store's writes,
 // all in one federation.
 //
 // Each algorithm first runs its uncrashed, fault-free-disk twin (same
-// FL-level faults and churn), then the chaos runs across storage profiles:
-//   clean-disk  crashes recover through an undamaged generational store
+// FL-level faults and churn), then the chaos runs across storage profiles.
+// A crash drops the algorithm at the end of a round; a freshly built one
+// resumes from the store (DESIGN.md §12):
+//   clean-disk  restarts recover through an undamaged generational store
 //   flaky-disk  every store write risks a torn write or a flipped bit; the
 //               recovery ladder steps past damaged generations
 //   dead-disk   every single write is torn — no generation ever survives,
-//               recovery degrades to the deterministic baseline snapshot
+//               so each restart starts cold from round 1
 //
 // The bench ASSERTS the determinism contract, not just reports it: every
 // chaos run must finish byte-identical (memcmp over the final global
@@ -21,6 +23,8 @@
 // generation (ladder_rejects 0), flaky-disk shows non-zero ladder_rejects
 // with recoveries still mostly served from disk, dead-disk serves zero
 // recoveries from disk and still converges identically.
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -132,8 +136,11 @@ int main(int argc, char** argv) {
               "storage", "best", "crash", "commit", "cfail", "recov",
               "reject", "torn", "identical");
 
+  // Per-process store root: concurrent runs on one host must not wipe each
+  // other's generations.
   const std::filesystem::path store_root =
-      std::filesystem::temp_directory_path() / "spatl_bench_chaos";
+      std::filesystem::temp_directory_path() /
+      ("spatl_bench_chaos_" + std::to_string(::getpid()));
   std::filesystem::remove_all(store_root);
   bool all_identical = true;
 
@@ -171,12 +178,12 @@ int main(int argc, char** argv) {
 
       std::printf("%-9s %-11s %6.1f%% %7zu %6zu %6zu %6zu %6zu %6zu %10s\n",
                   algo.c_str(), profile.name.c_str(),
-                  res.best_accuracy * 100.0, res.crashes_injected,
+                  res.best_accuracy * 100.0, run.crashes,
                   res.store_commits, res.store_commit_failures,
                   res.recoveries_from_store, res.recovery_attempts_failed,
                   io.torn_writes(), identical ? "yes" : "NO (FAIL)");
       csv.row_values(algo, profile.name, res.final_accuracy,
-                     res.best_accuracy, res.crashes_injected,
+                     res.best_accuracy, run.crashes,
                      res.store_commits, res.store_commit_failures,
                      res.recoveries_from_store, res.recovery_attempts_failed,
                      io.torn_writes(), io.corrupted_writes(),

@@ -179,6 +179,7 @@ struct AlgoRun {
   std::vector<double> client_sparsities;    // spatl only
   std::vector<double> per_client_accuracy;
   std::vector<float> final_weights;  // only with RunSpec::capture_weights
+  std::size_t crashes = 0;  // restarts run for RunSpec::crash_at_rounds
 };
 
 struct RunSpec {
@@ -200,8 +201,9 @@ struct RunSpec {
   std::optional<fl::ChurnConfig> churn;
   /// Per-round admission budget (bench_churn); unlimited by default.
   fl::AdmissionConfig admission;
-  /// Failover drills (bench_chaos): server crashes at the end of these
-  /// rounds, recovered from the durable store / baseline inside the run.
+  /// Crash drills (bench_chaos): the run stops at the end of each of these
+  /// rounds, the algorithm is dropped, and a freshly built one resumes from
+  /// the durable store (or the last in-memory checkpoint without one).
   std::vector<std::size_t> crash_at_rounds;
   /// Checkpoint cadence (0 = off); required for the drills to have
   /// anything durable to recover from.
@@ -267,20 +269,17 @@ inline AlgoRun run_algorithm(const std::string& algo, const RunSpec& spec,
                         /*val_fraction=*/0.25, env_rng);
   fl::FlConfig cfg = make_fl_config(spec.arch, spec.domain, s, seed);
 
-  std::unique_ptr<fl::FederatedAlgorithm> algorithm;
-  core::SpatlAlgorithm* spatl_ptr = nullptr;
-  if (algo == "spatl") {
-    auto sp = std::make_unique<core::SpatlAlgorithm>(env, cfg, spatl_opts,
-                                                     pretrained);
-    spatl_ptr = sp.get();
-    algorithm = std::move(sp);
-  } else {
-    algorithm = fl::make_baseline(algo, env, cfg);
-  }
+  const auto build = [&]() -> std::unique_ptr<fl::FederatedAlgorithm> {
+    if (algo == "spatl") {
+      return std::make_unique<core::SpatlAlgorithm>(env, cfg, spatl_opts,
+                                                    pretrained);
+    }
+    return fl::make_baseline(algo, env, cfg);
+  };
 
   // One initializer: each optional config is copy-constructed in place,
   // never default-built and then assigned.
-  const fl::RunOptions ro{
+  fl::RunOptions ro{
       .rounds = spec.rounds_override > 0 ? spec.rounds_override : s.rounds,
       .sample_ratio = spec.sample_ratio,
       .eval_every = s.eval_every,
@@ -291,7 +290,6 @@ inline AlgoRun run_algorithm(const std::string& algo, const RunSpec& spec,
       .async = spec.async,
       .churn = spec.churn,
       .admission = spec.admission,
-      .crash_at_rounds = spec.crash_at_rounds,
       .escalation = {},
       .checkpoint_every = spec.checkpoint_every,
       .ckpt_store = spec.ckpt_store,
@@ -300,20 +298,50 @@ inline AlgoRun run_algorithm(const std::string& algo, const RunSpec& spec,
       .telemetry_every = g_telemetry_every,
   };
 
+  // Crash drills run the way a real crash happens: each segment runs to its
+  // crash round and is dropped; the next builds a fresh algorithm and
+  // resumes from the store, or from the previous segment's last checkpoint.
   AlgoRun run;
   run.algorithm = algo;
-  run.result = fl::run_federated(*algorithm, ro);
+  const std::size_t rounds = ro.rounds;
+  std::unique_ptr<fl::FederatedAlgorithm> algorithm;
+  fl::RunResult previous;
+  std::size_t commits = 0, commit_failures = 0, recoveries = 0, rejected = 0;
+  for (std::size_t k = 0; k <= spec.crash_at_rounds.size(); ++k) {
+    const bool last = k == spec.crash_at_rounds.size();
+    ro.rounds = last ? rounds : spec.crash_at_rounds[k];
+    if (k > 0) {
+      ro.resume_from_store = ro.ckpt_store.has_value();
+      ro.resume = ro.ckpt_store ? nullptr : &previous.last_checkpoint;
+    }
+    algorithm = build();
+    fl::RunResult seg = fl::run_federated(*algorithm, ro);
+    commits += seg.store_commits;
+    commit_failures += seg.store_commit_failures;
+    recoveries += seg.recoveries_from_store;
+    rejected += seg.recovery_attempts_failed;
+    previous = std::move(seg);
+  }
+  // The last segment's result carries the whole run's checkpointed totals
+  // (its history starts where it resumed); store activity is per segment.
+  run.crashes = spec.crash_at_rounds.size();
+  run.result = std::move(previous);
+  run.result.store_commits = commits;
+  run.result.store_commit_failures = commit_failures;
+  run.result.recoveries_from_store = recoveries;
+  run.result.recovery_attempts_failed = rejected;
   run.uplink_bytes = run.result.comm.uplink;
   run.downlink_bytes = run.result.comm.downlink;
   run.retransmitted_bytes = run.result.comm.retransmitted;
   const double participants =
       std::max(1.0, std::ceil(spec.sample_ratio * double(spec.num_clients)));
   const double effective_rounds =
-      double(run.result.rounds_to_target.value_or(ro.rounds));
+      double(run.result.rounds_to_target.value_or(rounds));
   run.avg_round_client_bytes =
       (run.uplink_bytes + run.downlink_bytes) /
       (participants * std::max(1.0, effective_rounds));
-  if (spatl_ptr != nullptr) {
+  if (const auto* spatl_ptr =
+          dynamic_cast<const core::SpatlAlgorithm*>(algorithm.get())) {
     run.client_flops_ratios = spatl_ptr->client_flops_ratios();
     run.client_sparsities = spatl_ptr->client_sparsities();
   }

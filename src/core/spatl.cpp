@@ -401,30 +401,10 @@ void SpatlAlgorithm::combine(std::vector<fl::Contribution>& accepted,
   }
 }
 
-fl::EvalSummary SpatlAlgorithm::evaluate_clients() {
-  SPATL_TRACE_SPAN("fl/eval");
-  fl::EvalSummary summary;
-  for (std::size_t i = 0; i < env_.num_clients(); ++i) {
-    SpatlClientState& state = client_state(i);
-    sync_encoder_to_client(state);  // deploy the current shared encoder
-    const auto r = data::evaluate(state.model, env_.client(i).val);
-    summary.avg_accuracy += r.accuracy;
-    summary.avg_loss += r.loss;
-  }
-  const double n = double(env_.num_clients());
-  summary.avg_accuracy /= n;
-  summary.avg_loss /= n;
-  return summary;
-}
-
-std::vector<double> SpatlAlgorithm::per_client_accuracy() {
-  std::vector<double> acc(env_.num_clients(), 0.0);
-  for (std::size_t i = 0; i < env_.num_clients(); ++i) {
-    SpatlClientState& state = client_state(i);
-    sync_encoder_to_client(state);
-    acc[i] = data::evaluate(state.model, env_.client(i).val).accuracy;
-  }
-  return acc;
+models::SplitModel& SpatlAlgorithm::deployed_model(std::size_t client) {
+  SpatlClientState& state = client_state(client);
+  sync_encoder_to_client(state);  // deploy the current shared encoder
+  return state.model;
 }
 
 std::vector<double> SpatlAlgorithm::client_flops_ratios() const {

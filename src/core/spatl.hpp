@@ -69,11 +69,6 @@ class SpatlAlgorithm : public fl::FederatedAlgorithm {
   /// bound on the masked salient payload.
   std::size_t uplink_cost_floats() override;
 
-  /// SPATL deploys heterogeneous models: evaluation uses each client's own
-  /// predictor and BN statistics with the current global encoder.
-  fl::EvalSummary evaluate_clients() override;
-  std::vector<double> per_client_accuracy() override;
-
   /// Per-client FLOPs ratio / sparsity after the latest selection
   /// (Table "inference").
   std::vector<double> client_flops_ratios() const;
@@ -110,6 +105,9 @@ class SpatlAlgorithm : public fl::FederatedAlgorithm {
                                      const std::vector<float>& base) override;
   void combine(std::vector<fl::Contribution>& accepted,
                const std::vector<float>& base) override;
+  /// SPATL deploys heterogeneous models: evaluation uses each client's own
+  /// predictor and BN statistics with the current global encoder.
+  models::SplitModel& deployed_model(std::size_t client) override;
 
   SpatlClientState& client_state(std::size_t client);
   void sync_encoder_to_client(SpatlClientState& state);

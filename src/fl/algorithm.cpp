@@ -255,12 +255,16 @@ bool FederatedAlgorithm::quorum_met(std::size_t accepted_count) {
   return false;
 }
 
+models::SplitModel& FederatedAlgorithm::deployed_model(std::size_t client) {
+  if (client == 0) load_global_into_worker();
+  return worker_;
+}
+
 EvalSummary FederatedAlgorithm::evaluate_clients() {
   SPATL_TRACE_SPAN("fl/eval");
   EvalSummary summary;
-  load_global_into_worker();
   for (std::size_t i = 0; i < env_.num_clients(); ++i) {
-    const auto r = data::evaluate(worker_, env_.client(i).val);
+    const auto r = data::evaluate(deployed_model(i), env_.client(i).val);
     summary.avg_accuracy += r.accuracy;
     summary.avg_loss += r.loss;
   }
@@ -272,9 +276,8 @@ EvalSummary FederatedAlgorithm::evaluate_clients() {
 
 std::vector<double> FederatedAlgorithm::per_client_accuracy() {
   std::vector<double> acc(env_.num_clients(), 0.0);
-  load_global_into_worker();
   for (std::size_t i = 0; i < env_.num_clients(); ++i) {
-    acc[i] = data::evaluate(worker_, env_.client(i).val).accuracy;
+    acc[i] = data::evaluate(deployed_model(i), env_.client(i).val).accuracy;
   }
   return acc;
 }

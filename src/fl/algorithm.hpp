@@ -82,10 +82,10 @@ class FederatedAlgorithm {
   /// (the paper evaluates heterogeneous per-client performance; for the
   /// uniform-model baselines this is the global model on each client's
   /// validation set).
-  virtual EvalSummary evaluate_clients();
+  EvalSummary evaluate_clients();
 
   /// Per-client validation accuracy of the deployed model (Fig. local_acc).
-  virtual std::vector<double> per_client_accuracy();
+  std::vector<double> per_client_accuracy();
 
   CommLedger& ledger() { return ledger_; }
   const CommLedger& ledger() const { return ledger_; }
@@ -173,6 +173,11 @@ class FederatedAlgorithm {
   /// mean of absolute weights and BN statistics.
   virtual void combine(std::vector<Contribution>& accepted,
                        const std::vector<float>& base);
+
+  /// Client `client`'s deployed model, ready to evaluate; an evaluation pass
+  /// asks for clients 0..n-1 in order. Default: the worker holding the
+  /// global model, loaded once per pass.
+  virtual models::SplitModel& deployed_model(std::size_t client);
 
   /// Load global weights + BN stats into the worker model.
   void load_global_into_worker();

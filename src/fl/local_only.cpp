@@ -2,6 +2,7 @@
 
 #include "data/loader.hpp"
 #include "fl/flat_utils.hpp"
+#include "obs/trace.hpp"
 
 namespace spatl::fl {
 
@@ -22,6 +23,7 @@ models::SplitModel& LocalOnly::client_model(std::size_t i) {
 
 void LocalOnly::run_round(const std::vector<std::size_t>& selected) {
   for (const std::size_t i : selected) {
+    SPATL_TRACE_SPAN("fl/train");
     common::Rng client_rng(config_.seed ^ (0xC11E47ULL * (i + 1)));
     auto& model = client_model(i);
     data::train_supervised(model, env_.client(i).train, config_.local,
@@ -46,27 +48,6 @@ void LocalOnly::state(StateArchive& ar) {
     if (ar.loading()) nn::unflatten_values(w, model.all_params());
     walk_bn(ar, "algo/local/bn/" + id, model);
   }
-}
-
-EvalSummary LocalOnly::evaluate_clients() {
-  EvalSummary summary;
-  for (std::size_t i = 0; i < env_.num_clients(); ++i) {
-    const auto r = data::evaluate(client_model(i), env_.client(i).val);
-    summary.avg_accuracy += r.accuracy;
-    summary.avg_loss += r.loss;
-  }
-  const double n = double(env_.num_clients());
-  summary.avg_accuracy /= n;
-  summary.avg_loss /= n;
-  return summary;
-}
-
-std::vector<double> LocalOnly::per_client_accuracy() {
-  std::vector<double> acc(env_.num_clients());
-  for (std::size_t i = 0; i < env_.num_clients(); ++i) {
-    acc[i] = data::evaluate(client_model(i), env_.client(i).val).accuracy;
-  }
-  return acc;
 }
 
 }  // namespace spatl::fl

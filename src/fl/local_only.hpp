@@ -24,11 +24,11 @@ class LocalOnly : public FederatedAlgorithm {
   /// Every materialized client model (weights + BN statistics).
   void state(StateArchive& ar) override;
 
-  /// Heterogeneous deployment: evaluation uses each client's own model.
-  EvalSummary evaluate_clients() override;
-  std::vector<double> per_client_accuracy() override;
-
  private:
+  /// Heterogeneous deployment: evaluation uses each client's own model.
+  models::SplitModel& deployed_model(std::size_t i) override {
+    return client_model(i);
+  }
   models::SplitModel& client_model(std::size_t i);
   // Lazily built per client.
   // ckpt: algo/local/w/, algo/local/bn/

@@ -151,8 +151,8 @@ std::vector<std::size_t> weighted_sample_without_replacement(
 
 // The loop's checkpointed state beyond the algorithm and the RunResult
 // totals. A load starts from a fresh LoopState, so a member the walk forgets
-// reverts to its run-start value after a resume or crash drill — and the
-// resume, failover and chaos suites see the drift.
+// reverts to its run-start value after a resume — and the resume, restart
+// and chaos suites see the drift.
 // ckpt-struct: run/
 struct LoopState {
   LoopState(const RunOptions& opts, std::size_t num_clients)
@@ -213,13 +213,11 @@ class RoundLoop {
   void evaluate(Round& r);
   void checkpoint(Round& r);
   void emit(const Round& r);
-  std::optional<std::size_t> crash_drill(const Round& r);
 
   std::size_t start_round();
   RunCheckpoint save(std::size_t round);
   std::size_t load(const RunCheckpoint& ckpt);
   void state(StateArchive& ar, std::size_t& round);
-  std::optional<std::size_t> recover_from_store();
   void retune_krum();
   void arm(const ResilienceConfig& rule);
 
@@ -236,8 +234,6 @@ class RoundLoop {
   std::optional<ChurnEngine> churn_;  // walks itself under run/churn/
   std::optional<store::CheckpointStore> store_;
   std::vector<std::size_t> all_clients_;  // the sampling pool without churn
-  RunCheckpoint baseline_;                // pre-loop snapshot for drills
-  std::vector<std::size_t> crashed_;      // drill rounds already fired
 
   LoopState state_;
   /// The policy installed this round: `resilience_`, upgraded in place when
@@ -276,8 +272,8 @@ RoundLoop::RoundLoop(FederatedAlgorithm& algo, const RunOptions& opts,
   // skeleton can park and replay updates.
   if (async_on_) algo.set_async(*opts.async);
   // Durable generational store: periodic checkpoints are additionally
-  // committed as CRC-verified generations, and the failover drill recovers
-  // through the ladder instead of trusting in-memory state.
+  // committed as CRC-verified generations, which a restarted run resumes
+  // from through the ladder.
   if (opts.ckpt_store && opts.ckpt_store->enabled()) {
     store_.emplace(*opts.ckpt_store, opts.store_io, opts.telemetry);
   }
@@ -295,11 +291,7 @@ RoundLoop::RoundLoop(FederatedAlgorithm& algo, const RunOptions& opts,
 }
 
 RunResult RoundLoop::run() {
-  std::size_t round = start_round();
-  // Failover drills: the pre-loop baseline covers a crash injected before
-  // the first periodic checkpoint exists.
-  if (!opts_.crash_at_rounds.empty()) baseline_ = save(round - 1);
-  for (; round <= opts_.rounds; ++round) {
+  for (std::size_t round = start_round(); round <= opts_.rounds; ++round) {
     Round r = begin(round);
     {
       // Scoped so the round span completes before emit() reads the
@@ -313,10 +305,6 @@ RunResult RoundLoop::run() {
       checkpoint(r);
     }
     emit(r);
-    if (const auto recovered = crash_drill(r)) {
-      round = *recovered;  // the loop increment resumes at recovered + 1
-      continue;
-    }
     if (r.stop) break;
   }
   result_.comm = algo_.ledger().snapshot();
@@ -705,60 +693,6 @@ void RoundLoop::emit(const Round& r) {
   }
 }
 
-std::optional<std::size_t> RoundLoop::crash_drill(const Round& r) {
-  // Failover drill: lose the server at the end of this round, once. All
-  // in-memory progress since the last durable checkpoint is discarded and
-  // the loop resumes from the snapshot — the recovery path a real crash
-  // would take, exercised inside one run_federated call.
-  const std::size_t round = r.index;
-  if (!contains(opts_.crash_at_rounds, round) || contains(crashed_, round)) {
-    return std::nullopt;
-  }
-  crashed_.push_back(round);
-  // The flight window is most valuable at the moment of the crash — dump
-  // it before recovery rewinds the loop and overwrites history.
-  if (opts_.flight != nullptr) {
-    opts_.flight->dump("crash_drill", std::uint64_t(round));
-  }
-  // Durable-first recovery: a real crash loses the process, so with a store
-  // the in-memory snapshot is off limits — the generational ladder decides
-  // what survives, and only when every generation is corrupt (or none was
-  // ever committed) does the drill fall back to the deterministic pre-loop
-  // baseline.
-  std::optional<std::size_t> recovered;
-  if (store_) recovered = recover_from_store();
-  const bool exhausted = store_ && !recovered;
-  if (!recovered) {
-    recovered = load(store_ || result_.last_checkpoint.empty()
-                         ? baseline_
-                         : result_.last_checkpoint);
-  }
-  if (exhausted && opts_.flight != nullptr) {
-    opts_.flight->dump("recovery_exhausted", std::uint64_t(round));
-  }
-  ++result_.crashes_injected;
-  while (!result_.history.empty() &&
-         result_.history.back().round > *recovered) {
-    result_.history.pop_back();
-  }
-  if (result_.rounds_to_target && *result_.rounds_to_target > *recovered) {
-    result_.rounds_to_target.reset();
-  }
-  if (opts_.telemetry != nullptr) {
-    obs::JsonObject rec;
-    rec.add("type", "crash")
-        .add("algo", algo_.name())
-        .add("round", std::uint64_t(round))
-        .add("recovered_to", std::uint64_t(*recovered));
-    // Feature-gated so store-off crash records keep the legacy bytes.
-    if (store_) rec.add("source", exhausted ? "baseline" : "store");
-    opts_.telemetry->write(rec);
-  }
-  common::log_debug(algo_.name(), " server crash injected at round ", round,
-                    ", recovered to round ", *recovered);
-  return recovered;
-}
-
 std::size_t RoundLoop::start_round() {
   if (opts_.resume != nullptr && !opts_.resume->empty()) {
     return load(*opts_.resume) + 1;
@@ -768,8 +702,15 @@ std::size_t RoundLoop::start_round() {
   // directory resumes from the newest generation that survives the ladder.
   // No generations (cold start) or all-corrupt starts at round 1 —
   // identical to a run without the flag.
-  if (const auto recovered = recover_from_store()) return *recovered + 1;
-  if (result_.recovery_attempts_failed > 0 && opts_.flight != nullptr) {
+  std::size_t recovered = 0;
+  const store::RecoveryOutcome rec = store_->recover_latest(
+      [this, &recovered](const RunCheckpoint& c, const store::Generation&) {
+        recovered = load(c);
+      });
+  result_.recovery_attempts_failed = rec.failed_attempts;
+  result_.recoveries_from_store = rec.applied ? 1 : 0;
+  if (rec.applied) return recovered + 1;
+  if (rec.failed_attempts > 0 && opts_.flight != nullptr) {
     // Every generation in the directory was rejected: the window is empty
     // this early, but the exhaustion itself is worth a record.
     opts_.flight->dump("recovery_exhausted", 0);
@@ -778,8 +719,7 @@ std::size_t RoundLoop::start_round() {
 }
 
 /// Full-state snapshot after `round`: everything load-bearing for the
-/// remaining rounds, so a resume (or an injected crash recovery) replays
-/// the uninterrupted run bit for bit.
+/// remaining rounds, so a resume replays the uninterrupted run bit for bit.
 RunCheckpoint RoundLoop::save(std::size_t round) {
   RunCheckpoint ckpt;
   StateArchive ar = StateArchive::save_to(ckpt);
@@ -823,9 +763,8 @@ void RoundLoop::state(StateArchive& ar, std::size_t& round) {
   ar.optional().f64("run/series/backoff_wait", result_.total_backoff_wait);
   state_.escalation.state(ar);
   if (ar.loading()) {
-    // Re-arm the aggregation rule the snapshot was running under —
-    // escalated or (after a crash that rolled past a de-escalation) the
-    // base rule.
+    // Re-arm the aggregation rule the snapshot was running under,
+    // escalated or the base rule.
     current_ = resilience_;
     if (defended_) {
       if (state_.escalation.active()) {
@@ -846,21 +785,6 @@ void RoundLoop::state(StateArchive& ar, std::size_t& round) {
                                   [](std::size_t n) { return n > 0; }))
       .u64s("run/giveups", result_.client_giveups);
   result_.client_giveups.resize(num_clients_);
-}
-
-/// The recovery ladder, shared by start-up resume and the crash drill: load
-/// the newest generation that verifies and applies. Returns the round it
-/// was taken after, or nullopt when none did.
-std::optional<std::size_t> RoundLoop::recover_from_store() {
-  std::size_t recovered = 0;
-  const store::RecoveryOutcome rec = store_->recover_latest(
-      [this, &recovered](const RunCheckpoint& c, const store::Generation&) {
-        recovered = load(c);
-      });
-  result_.recovery_attempts_failed += rec.failed_attempts;
-  if (!rec.applied) return std::nullopt;
-  ++result_.recoveries_from_store;
-  return recovered;
 }
 
 /// Attack-aware Krum f: repeat suspects (excluded in >= 2 rounds) estimate

@@ -118,13 +118,6 @@ struct RunOptions {
   /// AdmissionConfig. Unlimited by default.
   AdmissionConfig admission;
 
-  /// Failover drills: simulate a server crash at the end of each listed
-  /// round (once per round) — all in-memory state is discarded and the run
-  /// recovers from the latest checkpoint (or the pre-round-1 baseline
-  /// snapshot) inside the same run_federated call, finishing bit-identical
-  /// to the uncrashed run. Empty = no drills.
-  std::vector<std::size_t> crash_at_rounds;
-
   /// Threshold->alert hook: when non-null the runner feeds per-round
   /// derived rates ("fl.reject_rate", "fl.shed_rate") into the watcher,
   /// which emits "type":"alert" JSONL records on threshold crossings.
@@ -155,10 +148,10 @@ struct RunOptions {
   /// Durable generational checkpoint store (DESIGN.md §13): when set (and
   /// dir non-empty), every periodic checkpoint is additionally committed as
   /// a round-stamped, CRC-verified generation under `ckpt_store->dir`
-  /// (atomic tmp+rename, keep-last-K pruning), and the failover drill
-  /// recovers through the generational ladder — newest generation first,
-  /// stepping down past any that fail verification — instead of trusting
-  /// the in-memory snapshot. nullopt = legacy behaviour, byte for byte.
+  /// (atomic tmp+rename, keep-last-K pruning); `resume_from_store` recovers
+  /// through the generational ladder — newest generation first, stepping
+  /// down past any that fail verification. nullopt = legacy behaviour, byte
+  /// for byte.
   std::optional<store::StoreConfig> ckpt_store;
   /// Storage IO hook for the store (chaos drills inject torn writes / bit
   /// corruption / ENOSPC through a FaultyStoreIo here). Null = the real
@@ -170,8 +163,9 @@ struct RunOptions {
   /// where the previous run stopped, bit-identically to the uninterrupted
   /// run, with no explicit `resume` snapshot. An empty/missing directory is
   /// a cold start (round 1); an explicit `resume` takes precedence. Counted
-  /// in RunResult::recoveries_from_store / recovery_attempts_failed like
-  /// any other ladder walk.
+  /// in RunResult::recoveries_from_store / recovery_attempts_failed. A crash
+  /// drill is a restart: run to the crash round, build a fresh algorithm
+  /// and run again with this flag (DESIGN.md §12).
   bool resume_from_store = false;
 
   /// Attack-aware Krum f auto-tuning: maintain a per-client suspicion
@@ -202,7 +196,7 @@ struct RunOptions {
   /// rendered telemetry record (whether or not the round hits the JSONL
   /// stride) is pushed into the recorder's bounded ring, and the runner
   /// dumps the window as one "type":"flight" record on divergence
-  /// rollback, crash drill, and recovery-ladder exhaustion. Pure
+  /// rollback and on recovery-ladder exhaustion at start-up. Pure
   /// observation, like `telemetry`. Not owned; must outlive the run.
   obs::FlightRecorder* flight = nullptr;
 };
@@ -249,17 +243,13 @@ struct RunResult {
   /// sums to the giveups total).
   std::vector<std::size_t> client_giveups;
 
-  /// Server crashes injected by the failover drill (each recovered from
-  /// the latest checkpoint inside this run).
-  std::size_t crashes_injected = 0;
   /// The latest full-state snapshot (empty when checkpointing is off).
   RunCheckpoint last_checkpoint;
 
   // Durable-store totals (all zero with no ckpt_store configured).
   std::size_t store_commits = 0;          // generations durably published
   std::size_t store_commit_failures = 0;  // commits the store rejected
-  /// Crash recoveries served by an on-disk generation (the remainder of
-  /// crashes_injected fell back to the in-memory baseline snapshot).
+  /// Start-up resumes served by an on-disk generation (resume_from_store).
   std::size_t recoveries_from_store = 0;
   /// Generations the recovery ladder rejected (corrupt file or failed
   /// restore) on its way to an older good one.

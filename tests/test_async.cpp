@@ -17,51 +17,13 @@
 #include "fl/fault.hpp"
 #include "fl/flat_utils.hpp"
 #include "fl/runner.hpp"
+#include "fl_fixture.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace spatl::fl {
 namespace {
-
-data::Dataset small_source(std::uint64_t seed = 11) {
-  data::SyntheticConfig cfg;
-  cfg.num_samples = 400;
-  cfg.image_size = 8;
-  cfg.num_classes = 10;
-  cfg.noise_stddev = 0.2f;
-  cfg.seed = seed;
-  return data::make_synth_cifar(cfg);
-}
-
-FlConfig small_config() {
-  FlConfig cfg;
-  cfg.model.arch = "cnn2";
-  cfg.model.in_channels = 3;
-  cfg.model.input_size = 8;
-  cfg.model.width_mult = 0.25;
-  cfg.model.num_classes = 10;
-  cfg.local.epochs = 1;
-  cfg.local.batch_size = 32;
-  cfg.local.lr = 0.05;
-  cfg.seed = 21;
-  return cfg;
-}
-
-std::vector<float> global_weights(FederatedAlgorithm& algo) {
-  return nn::flatten_values(algo.global_model().all_params());
-}
-
-std::unique_ptr<FederatedAlgorithm> make_algorithm(const std::string& name,
-                                                   FlEnvironment& env) {
-  if (name == "spatl") {
-    core::SpatlOptions sopts;
-    sopts.agent_finetune_rounds = 1;
-    sopts.agent_finetune_episodes = 1;
-    return std::make_unique<core::SpatlAlgorithm>(env, small_config(), sopts);
-  }
-  return make_baseline(name, env, small_config());
-}
 
 /// Straggler-heavy fault schedule with a deadline clients overshoot by
 /// roughly one period (slowdown 3 vs deadline 2 => lag 1 almost always).

@@ -15,53 +15,13 @@
 #include "fl/fault.hpp"
 #include "fl/flat_utils.hpp"
 #include "fl/runner.hpp"
+#include "fl_fixture.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "report/json.hpp"
 
 namespace spatl::fl {
 namespace {
-
-data::Dataset small_source(std::uint64_t seed = 11) {
-  data::SyntheticConfig cfg;
-  cfg.num_samples = 400;
-  cfg.image_size = 8;
-  cfg.num_classes = 10;
-  cfg.noise_stddev = 0.2f;
-  cfg.seed = seed;
-  return data::make_synth_cifar(cfg);
-}
-
-FlConfig small_config() {
-  FlConfig cfg;
-  cfg.model.arch = "cnn2";
-  cfg.model.in_channels = 3;
-  cfg.model.input_size = 8;
-  cfg.model.width_mult = 0.25;
-  cfg.model.num_classes = 10;
-  cfg.local.epochs = 1;
-  cfg.local.batch_size = 32;
-  cfg.local.lr = 0.05;
-  cfg.seed = 21;
-  return cfg;
-}
-
-std::vector<float> global_weights(FederatedAlgorithm& algo) {
-  return nn::flatten_values(algo.global_model().all_params());
-}
-
-std::unique_ptr<FederatedAlgorithm> make_algorithm(const std::string& name,
-                                                   FlEnvironment& env) {
-  if (name == "spatl") {
-    core::SpatlOptions sopts;
-    // One fine-tune round with one episode exercises the PPO agent state
-    // (policy net, Adam moments, RNG cursor) without dominating runtime.
-    sopts.agent_finetune_rounds = 1;
-    sopts.agent_finetune_episodes = 1;
-    return std::make_unique<core::SpatlAlgorithm>(env, small_config(), sopts);
-  }
-  return make_baseline(name, env, small_config());
-}
 
 // -------------------------------------------------- lossless pack helpers --
 
@@ -430,16 +390,15 @@ TEST(RunTotals, ConservedInStraightAndCrashRecoveredRuns) {
   std::filesystem::remove_all(dir);
   common::Rng rng2(37);
   FlEnvironment env2(source, 6, 0.5, 0.25, rng2);
-  auto crashed = make_algorithm("fedavg", env2);
   RunOptions opts = busy_options();
   opts.checkpoint_every = 2;
-  opts.crash_at_rounds = {3};
   store::StoreConfig sc;
   sc.dir = dir.string();
   opts.ckpt_store = sc;
-  const auto twin = run_federated(*crashed, opts);
+  const Restarted crashed = run_with_restarts(
+      [&] { return make_algorithm("fedavg", env2); }, opts, {3});
+  const RunResult& twin = crashed.result;
   std::filesystem::remove_all(dir);
-  ASSERT_EQ(twin.crashes_injected, 1u);
   ASSERT_EQ(twin.recoveries_from_store, 1u);
   expect_conserved(twin);
 
@@ -451,7 +410,7 @@ TEST(RunTotals, ConservedInStraightAndCrashRecoveredRuns) {
   EXPECT_EQ(twin.buffered_remaining, full.buffered_remaining);
   EXPECT_EQ(twin.final_accuracy, full.final_accuracy);
   const auto wa = global_weights(*straight);
-  const auto wb = global_weights(*crashed);
+  const auto wb = global_weights(*crashed.algo);
   ASSERT_EQ(wa.size(), wb.size());
   EXPECT_EQ(std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(float)), 0);
 }

@@ -20,51 +20,13 @@
 #include "fl/fault.hpp"
 #include "fl/flat_utils.hpp"
 #include "fl/runner.hpp"
+#include "fl_fixture.hpp"
 #include "obs/alert.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 
 namespace spatl::fl {
 namespace {
-
-data::Dataset small_source(std::uint64_t seed = 11) {
-  data::SyntheticConfig cfg;
-  cfg.num_samples = 400;
-  cfg.image_size = 8;
-  cfg.num_classes = 10;
-  cfg.noise_stddev = 0.2f;
-  cfg.seed = seed;
-  return data::make_synth_cifar(cfg);
-}
-
-FlConfig small_config() {
-  FlConfig cfg;
-  cfg.model.arch = "cnn2";
-  cfg.model.in_channels = 3;
-  cfg.model.input_size = 8;
-  cfg.model.width_mult = 0.25;
-  cfg.model.num_classes = 10;
-  cfg.local.epochs = 1;
-  cfg.local.batch_size = 32;
-  cfg.local.lr = 0.05;
-  cfg.seed = 21;
-  return cfg;
-}
-
-std::vector<float> global_weights(FederatedAlgorithm& algo) {
-  return nn::flatten_values(algo.global_model().all_params());
-}
-
-std::unique_ptr<FederatedAlgorithm> make_algorithm(const std::string& name,
-                                                   FlEnvironment& env) {
-  if (name == "spatl") {
-    core::SpatlOptions sopts;
-    sopts.agent_finetune_rounds = 1;
-    sopts.agent_finetune_episodes = 1;
-    return std::make_unique<core::SpatlAlgorithm>(env, small_config(), sopts);
-  }
-  return make_baseline(name, env, small_config());
-}
 
 bool is_finite(const std::vector<float>& v) {
   for (const float x : v) {
@@ -600,20 +562,18 @@ TEST_P(FailoverDrill, CrashRecoveryIsBitIdenticalToUncrashedRun) {
 
   common::Rng rng2(67);
   FlEnvironment env2(source, 5, 0.5, 0.25, rng2);
-  auto crashed = make_algorithm(GetParam(), env2);
-  RunOptions crash_opts = opts;
-  crash_opts.crash_at_rounds = {3};
-  const auto crash_result = run_federated(*crashed, crash_opts);
+  const Restarted crashed = run_with_restarts(
+      [&] { return make_algorithm(GetParam(), env2); }, opts, {3});
+  const RunResult& crash_result = crashed.result;
 
-  EXPECT_EQ(crash_result.crashes_injected, 1u);
   const auto wa = global_weights(*smooth);
-  const auto wb = global_weights(*crashed);
+  const auto wb = global_weights(*crashed.algo);
   ASSERT_EQ(wa.size(), wb.size());
   EXPECT_EQ(std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(float)), 0);
   EXPECT_EQ(smooth_result.final_accuracy, crash_result.final_accuracy);
   EXPECT_EQ(smooth_result.best_accuracy, crash_result.best_accuracy);
-  // The recovery replays rounds 3..5; the history the caller sees is the
-  // same evaluated series (no duplicate or phantom rounds).
+  // The restart replays rounds 3..5; the stitched history is the same
+  // evaluated series (no duplicate or phantom rounds).
   ASSERT_EQ(smooth_result.history.size(), crash_result.history.size());
   for (std::size_t i = 0; i < smooth_result.history.size(); ++i) {
     EXPECT_EQ(smooth_result.history[i].round, crash_result.history[i].round);
@@ -629,14 +589,15 @@ TEST(FailoverDrill2, CrashBeforeFirstCheckpointRecoversFromBaseline) {
   const auto source = small_source();
   common::Rng rng(71);
   FlEnvironment env(source, 4, 0.5, 0.25, rng);
-  FedAvg algo(env, small_config());
   RunOptions opts;
   opts.rounds = 3;
   opts.eval_every = 1;
-  opts.crash_at_rounds = {1};  // no periodic checkpoint exists yet
-  const auto result = run_federated(algo, opts);
-  EXPECT_EQ(result.crashes_injected, 1u);
-  EXPECT_TRUE(is_finite(global_weights(algo)));
+  // No periodic checkpoint exists yet: the restart is a cold start.
+  const Restarted run = run_with_restarts(
+      [&] { return std::make_unique<FedAvg>(env, small_config()); }, opts,
+      {1});
+  const RunResult& result = run.result;
+  EXPECT_TRUE(is_finite(global_weights(*run.algo)));
   // Round 1 was replayed after the crash; the history is still 1..3.
   ASSERT_EQ(result.history.size(), 3u);
   EXPECT_EQ(result.history.front().round, 1u);

@@ -401,7 +401,8 @@ TEST(Exporters, ChromeTraceIsValidJsonWithOneEventPerSpan) {
 // ---------------------------------------------------------------------------
 // Federated runner integration
 
-fl::RunResult run_fed(fl::RunOptions opts, std::vector<float>* params_out) {
+fl::RunResult run_fed(fl::RunOptions opts, std::vector<float>* params_out,
+                      const std::string& algo_name = "fedavg") {
   data::SyntheticConfig scfg;
   scfg.num_samples = 240;
   scfg.image_size = 8;
@@ -422,47 +423,57 @@ fl::RunResult run_fed(fl::RunOptions opts, std::vector<float>* params_out) {
   cfg.local.batch_size = 32;
   cfg.local.lr = 0.05;
   cfg.seed = 21;
-  fl::FedAvg algo(env, cfg);
-  fl::RunResult result = fl::run_federated(algo, opts);
+  const auto algo = fl::make_baseline(algo_name, env, cfg);
+  fl::RunResult result = fl::run_federated(*algo, opts);
   if (params_out != nullptr) {
-    *params_out = nn::flatten_values(algo.global_model().all_params());
+    *params_out = nn::flatten_values(algo->global_model().all_params());
   }
   return result;
 }
 
 TEST(Telemetry, RunnerEmitsOneRoundRecordPerRoundWithPhases) {
-  obs::Tracer& tracer = obs::Tracer::instance();
-  tracer.set_capacity(1 << 16);
-  tracer.set_enabled(true);
-  const std::string path = temp_path("test_obs_rounds.jsonl");
-  {
-    obs::JsonlWriter telemetry(path);
-    fl::RunOptions opts;
-    opts.rounds = 3;
-    opts.eval_every = 2;
-    opts.telemetry = &telemetry;
-    const fl::RunResult result = run_fed(opts, nullptr);
-    EXPECT_EQ(telemetry.lines(), 3u);
-  }
-  tracer.set_enabled(false);
+  // local-only trains and evaluates off the client-round skeleton, so its
+  // records must carry the same training and evaluation phases.
+  for (const std::string algo : {"fedavg", "local-only"}) {
+    SCOPED_TRACE(algo);
+    obs::Tracer& tracer = obs::Tracer::instance();
+    tracer.set_capacity(1 << 16);
+    tracer.set_enabled(true);
+    const std::string path = temp_path("test_obs_rounds.jsonl");
+    {
+      obs::JsonlWriter telemetry(path);
+      fl::RunOptions opts;
+      opts.rounds = 3;
+      opts.eval_every = 2;
+      opts.telemetry = &telemetry;
+      const fl::RunResult result = run_fed(opts, nullptr, algo);
+      EXPECT_EQ(telemetry.lines(), 3u);
+    }
+    tracer.set_enabled(false);
 
-  const std::vector<std::string> lines = read_lines(path);
-  ASSERT_EQ(lines.size(), 3u);
-  for (const std::string& line : lines) {
-    EXPECT_TRUE(JsonChecker::valid(line)) << line;
-    EXPECT_NE(line.find("\"type\":\"round\""), std::string::npos);
-    EXPECT_NE(line.find("\"algo\":\"fedavg\""), std::string::npos);
-    EXPECT_NE(line.find("\"selected\":"), std::string::npos);
-    EXPECT_NE(line.find("\"comm\":{"), std::string::npos);
-    EXPECT_NE(line.find("\"uplink_bytes\":"), std::string::npos);
-    // Tracing was on: per-phase wall-time attribution rides along.
-    EXPECT_NE(line.find("\"phases\":{"), std::string::npos);
-    EXPECT_NE(line.find("\"fl/train\""), std::string::npos);
-    EXPECT_NE(line.find("\"fl/aggregate\""), std::string::npos);
+    const std::vector<std::string> lines = read_lines(path);
+    ASSERT_EQ(lines.size(), 3u);
+    for (const std::string& line : lines) {
+      EXPECT_TRUE(JsonChecker::valid(line)) << line;
+      EXPECT_NE(line.find("\"type\":\"round\""), std::string::npos);
+      EXPECT_NE(line.find("\"algo\":\"" + algo + "\""), std::string::npos);
+      EXPECT_NE(line.find("\"selected\":"), std::string::npos);
+      EXPECT_NE(line.find("\"comm\":{"), std::string::npos);
+      EXPECT_NE(line.find("\"uplink_bytes\":"), std::string::npos);
+      // Tracing was on: per-phase wall-time attribution rides along.
+      EXPECT_NE(line.find("\"phases\":{"), std::string::npos);
+      EXPECT_NE(line.find("\"fl/train\""), std::string::npos);
+      if (algo == "fedavg") {
+        EXPECT_NE(line.find("\"fl/aggregate\""), std::string::npos);
+      }
+    }
+    // eval_every = 2 → eval summary and its phase land on rounds 2 and 3
+    // (final round).
+    EXPECT_EQ(lines[0].find("\"eval\":"), std::string::npos);
+    EXPECT_EQ(lines[0].find("\"fl/eval\""), std::string::npos);
+    EXPECT_NE(lines[1].find("\"eval\":"), std::string::npos);
+    EXPECT_NE(lines[1].find("\"fl/eval\""), std::string::npos);
   }
-  // eval_every = 2 → eval summary lands on rounds 2 and 3 (final round).
-  EXPECT_EQ(lines[0].find("\"eval\":"), std::string::npos);
-  EXPECT_NE(lines[1].find("\"eval\":"), std::string::npos);
 }
 
 TEST(Telemetry, TelemetryEveryStrideStillEmitsFinalRound) {
@@ -738,17 +749,26 @@ TEST(Telemetry, EnabledTelemetryIsBitIdenticalToDisabled) {
 }
 
 // Same contract for the flight recorder: a run with the ring attached (and
-// dumping during a crash drill) must finish with bit-identical parameters
-// to the same run without it.
+// dumping on every divergence rollback) must finish with bit-identical
+// parameters to the same run without it.
 TEST(Telemetry, FlightRecorderOffSwitchIsBitIdentical) {
   fl::RunOptions opts;
   opts.rounds = 4;
   opts.eval_every = 2;
   opts.checkpoint_every = 1;
-  opts.crash_at_rounds = {2};
+  // One colluder pushing an enormous fixed direction makes every mean-
+  // aggregated round's loss non-finite, so each round rolls back.
+  fl::FaultConfig fc;
+  fc.byzantine_clients = {1, 0, 0, 0};
+  fc.attack_kind = fl::AttackKind::kFixedDirection;
+  fc.attack_scale = 1.0e30;
+  opts.faults = fc;
+  opts.resilience = fl::ResilienceConfig{};
+  opts.divergence_factor = 2.0;
 
   std::vector<float> baseline;
-  run_fed(opts, &baseline);
+  const fl::RunResult plain = run_fed(opts, &baseline);
+  ASSERT_EQ(plain.total("rolled_back"), opts.rounds);
 
   const std::string path = temp_path("test_obs_flight_run.jsonl");
   std::vector<float> flown;
@@ -762,7 +782,7 @@ TEST(Telemetry, FlightRecorderOffSwitchIsBitIdentical) {
     opts_f.telemetry_every = 100;
     opts_f.flight = &flight;
     run_fed(opts_f, &flown);
-    EXPECT_EQ(flight.dumps(), 1u);
+    EXPECT_EQ(flight.dumps(), opts.rounds);
   }
 
   ASSERT_EQ(baseline.size(), flown.size());
@@ -771,18 +791,19 @@ TEST(Telemetry, FlightRecorderOffSwitchIsBitIdentical) {
             0)
       << "flight recorder changed the simulation";
 
-  bool found_flight = false;
+  bool found_window = false;
   for (const std::string& line : read_lines(path)) {
     if (line.find("\"type\":\"flight\"") == std::string::npos) continue;
-    found_flight = true;
     EXPECT_TRUE(JsonChecker::valid(line)) << line;
-    EXPECT_NE(line.find("\"trigger\":\"crash_drill\""), std::string::npos);
+    EXPECT_NE(line.find("\"trigger\":\"divergence_rollback\""),
+              std::string::npos);
     // Rounds 1 and 2 never produced telemetry lines (stride 100), yet the
-    // window preserved their rendered records for the incident dump.
-    EXPECT_NE(line.find("\"first_round\":1"), std::string::npos);
-    EXPECT_NE(line.find("\"last_round\":2"), std::string::npos);
+    // window preserved their rendered records for round 3's dump.
+    found_window |= line.find("\"round\":3,") != std::string::npos &&
+                    line.find("\"first_round\":1") != std::string::npos &&
+                    line.find("\"last_round\":2") != std::string::npos;
   }
-  EXPECT_TRUE(found_flight);
+  EXPECT_TRUE(found_window);
 }
 
 }  // namespace

@@ -106,14 +106,16 @@ const char kStream[] =
     "{\"type\":\"mystery\",\"round\":2}\n";
 
 TEST(ReportFold, CountsUnknownRecordTypes) {
-  // A round record in the pre-"counts" shape is schema drift: counted as
-  // unknown, not folded as zeros.
+  // A round record in the pre-"counts" shape and a retired "crash" record
+  // are schema drift: counted as unknown, not folded as zeros.
   const std::string stream =
       std::string(kStream) +
       "{\"type\":\"round\",\"algo\":\"fedavg\",\"round\":3,\"selected\":4,"
       "\"skipped\":false,\"comm\":{\"uplink_bytes\":10,"
       "\"downlink_bytes\":20,\"retransmitted_bytes\":0,"
-      "\"cumulative_bytes\":90}}\n";
+      "\"cumulative_bytes\":90}}\n"
+      "{\"type\":\"crash\",\"algo\":\"fedavg\",\"round\":2,"
+      "\"recovered_to\":1}\n";
   std::vector<JsonValue> records;
   std::string err;
   ASSERT_TRUE(parse_jsonl(stream, &records, &err)) << err;
@@ -126,7 +128,7 @@ TEST(ReportFold, CountsUnknownRecordTypes) {
   EXPECT_TRUE(r.has_eval);
   EXPECT_DOUBLE_EQ(r.final_accuracy, 0.4);
   EXPECT_DOUBLE_EQ(r.cumulative_bytes, 60.0);
-  EXPECT_EQ(r.unknown_records, 2u);
+  EXPECT_EQ(r.unknown_records, 3u);
 }
 
 TEST(ReportRender, JsonIsDeterministicAndReparses) {

@@ -21,6 +21,7 @@
 #include "fl/store/format.hpp"
 #include "fl/store/io.hpp"
 #include "fl/store/store.hpp"
+#include "fl_fixture.hpp"
 #include "obs/export.hpp"
 
 namespace spatl::fl {
@@ -430,45 +431,6 @@ TEST(StorageFaults, SimulatedEnospcThrowsTypedErrorAfterPartialWrite) {
 
 // ----------------------------------------------------- runner chaos drills --
 
-data::Dataset small_source(std::uint64_t seed = 11) {
-  data::SyntheticConfig cfg;
-  cfg.num_samples = 400;
-  cfg.image_size = 8;
-  cfg.num_classes = 10;
-  cfg.noise_stddev = 0.2f;
-  cfg.seed = seed;
-  return data::make_synth_cifar(cfg);
-}
-
-FlConfig small_config() {
-  FlConfig cfg;
-  cfg.model.arch = "cnn2";
-  cfg.model.in_channels = 3;
-  cfg.model.input_size = 8;
-  cfg.model.width_mult = 0.25;
-  cfg.model.num_classes = 10;
-  cfg.local.epochs = 1;
-  cfg.local.batch_size = 32;
-  cfg.local.lr = 0.05;
-  cfg.seed = 21;
-  return cfg;
-}
-
-std::vector<float> global_weights(FederatedAlgorithm& algo) {
-  return nn::flatten_values(algo.global_model().all_params());
-}
-
-std::unique_ptr<FederatedAlgorithm> make_algorithm(const std::string& name,
-                                                   FlEnvironment& env) {
-  if (name == "spatl") {
-    core::SpatlOptions sopts;
-    sopts.agent_finetune_rounds = 1;
-    sopts.agent_finetune_episodes = 1;
-    return std::make_unique<core::SpatlAlgorithm>(env, small_config(), sopts);
-  }
-  return make_baseline(name, env, small_config());
-}
-
 RunOptions chaos_options() {
   RunOptions opts;
   opts.rounds = 4;
@@ -514,7 +476,6 @@ TEST_P(StorageChaosBitIdentity, CrashedChaosRunMatchesCleanTwin) {
 
   common::Rng rng2(37);
   FlEnvironment env2(source, 4, 0.5, 0.25, rng2);
-  auto chaotic = make_algorithm(GetParam(), env2);
   RunOptions opts = chaos_options();
   opts.checkpoint_every = 1;
   store::StoreConfig sc;
@@ -522,28 +483,24 @@ TEST_P(StorageChaosBitIdentity, CrashedChaosRunMatchesCleanTwin) {
   sc.keep_last = 2;
   opts.ckpt_store = sc;
   opts.store_io = &io;
-  opts.crash_at_rounds = {2, 3};
   const std::string log = dir.file("telemetry.jsonl");
-  RunResult chaos_result;
+  Restarted chaos;
   {
     obs::JsonlWriter telemetry(log);
     opts.telemetry = &telemetry;
-    chaos_result = run_federated(*chaotic, opts);
+    chaos = run_with_restarts(
+        [&] { return make_algorithm(GetParam(), env2); }, opts, {2, 3});
   }
 
-  EXPECT_EQ(chaos_result.crashes_injected, 2u);
-  EXPECT_GT(chaos_result.store_commits, 0u);
+  EXPECT_GT(chaos.result.store_commits, 0u);
   const auto wa = global_weights(*clean);
-  const auto wb = global_weights(*chaotic);
+  const auto wb = global_weights(*chaos.algo);
   ASSERT_EQ(wa.size(), wb.size());
   EXPECT_EQ(std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(float)), 0);
-  EXPECT_EQ(clean_result.final_accuracy, chaos_result.final_accuracy);
+  EXPECT_EQ(clean_result.final_accuracy, chaos.result.final_accuracy);
 
-  // Every crash consulted the ladder and left a paper trail.
-  const std::string records = slurp(log);
-  EXPECT_NE(records.find("\"type\":\"recovery\""), std::string::npos);
-  EXPECT_NE(records.find("\"type\":\"crash\""), std::string::npos);
-  EXPECT_NE(records.find("\"source\""), std::string::npos);
+  // Every restart consulted the ladder and left a paper trail.
+  EXPECT_NE(slurp(log).find("\"type\":\"recovery\""), std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, StorageChaosBitIdentity,
@@ -554,9 +511,9 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, StorageChaosBitIdentity,
 
 TEST(StorageChaos, TornWriteOnEveryCommitStillFinishesBitIdentical) {
   // The worst storage day possible: every single store write is torn, so
-  // every generation is corrupt and the ladder exhausts. The drill must
-  // fall back to the deterministic baseline and still converge to the
-  // exact bytes of the clean twin.
+  // every generation is corrupt and the ladder exhausts. The restart must
+  // fall back to a cold start and still converge to the exact bytes of the
+  // clean twin.
   const auto source = small_source();
   common::Rng rng1(37);
   FlEnvironment env1(source, 4, 0.5, 0.25, rng1);
@@ -570,35 +527,39 @@ TEST(StorageChaos, TornWriteOnEveryCommitStillFinishesBitIdentical) {
   FaultyStoreIo io(faults);
   common::Rng rng2(37);
   FlEnvironment env2(source, 4, 0.5, 0.25, rng2);
-  auto chaotic = make_algorithm("fedavg", env2);
   RunOptions opts = chaos_options();
   opts.checkpoint_every = 1;
   store::StoreConfig sc;
   sc.dir = dir.file("store");
   opts.ckpt_store = sc;
   opts.store_io = &io;
-  opts.crash_at_rounds = {2};
   const std::string log = dir.file("telemetry.jsonl");
-  RunResult result;
+  Restarted chaos;
   {
     obs::JsonlWriter telemetry(log);
     opts.telemetry = &telemetry;
-    result = run_federated(*chaotic, opts);
+    chaos = run_with_restarts([&] { return make_algorithm("fedavg", env2); },
+                              opts, {2});
   }
 
-  EXPECT_EQ(result.crashes_injected, 1u);
+  const RunResult& result = chaos.result;
   EXPECT_EQ(result.recoveries_from_store, 0u);  // nothing on disk survived
   EXPECT_GT(result.recovery_attempts_failed, 0u);
   const auto wa = global_weights(*clean);
-  const auto wb = global_weights(*chaotic);
+  const auto wb = global_weights(*chaos.algo);
   ASSERT_EQ(wa.size(), wb.size());
   EXPECT_EQ(std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(float)), 0);
   const std::string records = slurp(log);
   EXPECT_NE(records.find("\"ok\":false"), std::string::npos);
-  EXPECT_NE(records.find("\"source\":\"baseline\""), std::string::npos);
+  // The cold start replayed round 1: its record is in the stream twice.
+  const std::string round1 = "\"round\":1,\"counts\"";
+  const std::size_t first = records.find(round1);
+  ASSERT_NE(first, std::string::npos);
+  EXPECT_NE(records.find(round1, first + 1), std::string::npos);
 }
 
-/// Find a fault seed whose write-sequence damage pattern matches the drill:
+/// Find a fault seed whose write-sequence damage pattern matches the drill's
+/// first segment:
 /// write 0 (the round-1 generation) lands clean, write 2 (the round-2
 /// generation) is torn. Probed against scratch files with the same
 /// deterministic injector the run will use, so the search is exact.
@@ -642,21 +603,19 @@ TEST(StorageChaos, LadderRecoversFromOlderGenerationBitIdentical) {
   FaultyStoreIo io(faults);
   common::Rng rng2(37);
   FlEnvironment env2(source, 4, 0.5, 0.25, rng2);
-  auto chaotic = make_algorithm("fedavg", env2);
   RunOptions opts = chaos_options();
   opts.checkpoint_every = 1;
   store::StoreConfig sc;
   sc.dir = dir.file("store");
   opts.ckpt_store = sc;
   opts.store_io = &io;
-  opts.crash_at_rounds = {2};
-  const auto result = run_federated(*chaotic, opts);
+  const Restarted chaos = run_with_restarts(
+      [&] { return make_algorithm("fedavg", env2); }, opts, {2});
 
-  EXPECT_EQ(result.crashes_injected, 1u);
-  EXPECT_EQ(result.recoveries_from_store, 1u);
-  EXPECT_EQ(result.recovery_attempts_failed, 1u);  // the torn round-2 file
+  EXPECT_EQ(chaos.result.recoveries_from_store, 1u);
+  EXPECT_EQ(chaos.result.recovery_attempts_failed, 1u);  // the torn round-2 file
   const auto wa = global_weights(*clean);
-  const auto wb = global_weights(*chaotic);
+  const auto wb = global_weights(*chaos.algo);
   ASSERT_EQ(wa.size(), wb.size());
   EXPECT_EQ(std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(float)), 0);
 }
@@ -669,21 +628,18 @@ TEST(StorageChaos, StoreOffSwitchKeepsLegacyResultsAndTelemetry) {
                             const std::string& store_dir) {
     common::Rng rng(37);
     FlEnvironment env(source, 4, 0.5, 0.25, rng);
-    auto algo = make_algorithm("fedavg", env);
     RunOptions opts = chaos_options();
     opts.checkpoint_every = 2;
-    opts.crash_at_rounds = {3};
     if (with_store) {
       store::StoreConfig sc;
       sc.dir = store_dir;
       opts.ckpt_store = sc;
     }
-    {
-      obs::JsonlWriter telemetry(log);
-      opts.telemetry = &telemetry;
-      run_federated(*algo, opts);
-    }
-    return global_weights(*algo);
+    obs::JsonlWriter telemetry(log);
+    opts.telemetry = &telemetry;
+    const Restarted run = run_with_restarts(
+        [&] { return make_algorithm("fedavg", env); }, opts, {3});
+    return global_weights(*run.algo);
   };
 
   ScratchDir dir("offswitch");
@@ -694,12 +650,9 @@ TEST(StorageChaos, StoreOffSwitchKeepsLegacyResultsAndTelemetry) {
   EXPECT_EQ(std::memcmp(w_legacy.data(), w_store.data(),
                         w_legacy.size() * sizeof(float)),
             0);
-  // The store-on run only ever adds the gated "source" field to crash
-  // records; the store-off bytes are the legacy bytes.
-  const std::string legacy = slurp(dir.file("legacy.jsonl"));
-  EXPECT_EQ(legacy.find("\"source\""), std::string::npos);
-  EXPECT_EQ(legacy.find("\"type\":\"recovery\""), std::string::npos);
-  EXPECT_NE(slurp(dir.file("store.jsonl")).find("\"source\":\"store\""),
+  // Only the store-on run walks a recovery ladder; the store-off bytes are
+  // the legacy bytes.
+  EXPECT_EQ(slurp(dir.file("legacy.jsonl")).find("\"type\":\"recovery\""),
             std::string::npos);
 }
 

@@ -140,7 +140,7 @@ void check_telemetry_record_type(const SourceFile& f,
     return;
   }
   static const std::set<std::string> kRecordTypes = {
-      "round", "metrics", "alert", "crash", "recovery", "flight"};
+      "round", "metrics", "alert", "recovery", "flight"};
   const auto& lits = f.text.strings;
   for (std::size_t i = 0; i + 1 < lits.size(); ++i) {
     if (lits[i].text != "type") continue;
@@ -175,7 +175,7 @@ void check_telemetry_record_type(const SourceFile& f,
     if (kRecordTypes.count(lits[i + 1].text) == 0) {
       emit(f, out, "telemetry-record-type", lits[i + 1].pos,
            "unknown telemetry record type \"" + lits[i + 1].text +
-               "\" — the JSONL schema covers round/metrics/alert/crash/"
+               "\" — the JSONL schema covers round/metrics/alert/"
                "recovery/flight; extend the set (and spatl_report) "
                "deliberately, not by typo");
     }

@@ -94,8 +94,6 @@ HealthReport build_report(const std::vector<JsonValue>& records,
     } else if (type == "alert") {
       ++r.alerts;
       ++r.alerts_by_rule[rec.str("rule", "?")];
-    } else if (type == "crash") {
-      ++r.crashes;
     } else if (type == "recovery") {
       fold_recovery(rec, &r);
     } else if (type == "flight") {
@@ -105,7 +103,8 @@ HealthReport build_report(const std::vector<JsonValue>& records,
       // The end-of-run registry snapshot duplicates what the per-round
       // records already carry; acknowledged but not folded.
     } else {
-      // Includes a round record without "counts": schema drift, not zeros.
+      // Includes a round record without "counts" and a retired "crash"
+      // record: schema drift, not zeros.
       ++r.unknown_records;
     }
   }
@@ -146,7 +145,6 @@ std::string render_json(const HealthReport& r) {
   obs::JsonObject resilience;
   resilience.add("rollbacks", r.rollbacks)
       .add("escalations", r.escalations)
-      .add("crashes", r.crashes)
       .add("recoveries_ok", r.recoveries_ok)
       .add("recoveries_failed", r.recoveries_failed);
 
@@ -249,12 +247,12 @@ std::string render_markdown(const HealthReport& r) {
         " | " + std::to_string(r.retransmissions) + " |\n\n";
 
   md += "## Resilience\n\n";
-  md += "| rollbacks | escalations | crashes | recoveries ok | recoveries "
-        "failed | flight dumps |\n";
-  md += "|---|---|---|---|---|---|\n";
+  md += "| rollbacks | escalations | recoveries ok | recoveries failed | "
+        "flight dumps |\n";
+  md += "|---|---|---|---|---|\n";
   md += "| " + std::to_string(r.rollbacks) + " | " +
-        std::to_string(r.escalations) + " | " + std::to_string(r.crashes) +
-        " | " + std::to_string(r.recoveries_ok) + " | " +
+        std::to_string(r.escalations) + " | " +
+        std::to_string(r.recoveries_ok) + " | " +
         std::to_string(r.recoveries_failed) + " | " +
         std::to_string(r.flight_dumps) + " |\n\n";
 
@@ -296,7 +294,8 @@ std::string render_markdown(const HealthReport& r) {
 
   if (r.unknown_records > 0) {
     md += "**Warning:** " + std::to_string(r.unknown_records) +
-          " record(s) with unknown type — possible schema drift.\n";
+          " record(s) with an unknown or retired type, or round records "
+          "without \"counts\" — possible schema drift.\n";
   }
   return md;
 }
@@ -351,14 +350,13 @@ std::vector<DiffViolation> diff_reports(const JsonValue& baseline,
 namespace {
 
 // Known-input stream for the self-test: two traced rounds with eval, an
-// alert, a crash + failed recovery load, and a flight dump.
+// alert, a failed recovery load, and the flight dump its exhaustion fires.
 const char kSelfTestJsonl[] =
     R"({"type":"round","algo":"spatl","round":1,"counts":{"selected":4,"dropped":1,"stragglers":0,"accepted":3,"rejected":1,"retransmissions":2,"skipped":0,"rolled_back":0,"escalated":0},"comm":{"uplink_bytes":1000,"downlink_bytes":2000,"retransmitted_bytes":100,"cumulative_bytes":3000},"eval":{"avg_accuracy":0.5,"avg_loss":1.2},"phases":{"fl/aggregate":{"total_ns":2000000,"count":1},"fl/local_train":{"total_ns":8000000,"count":4}}}
 {"type":"alert","rule":"acc-floor","metric":"eval.avg_accuracy","value":0.5,"threshold":0.6,"direction":"below","round":1}
 {"type":"round","algo":"spatl","round":2,"counts":{"selected":4,"dropped":0,"stragglers":1,"accepted":4,"rejected":0,"retransmissions":0,"skipped":0,"rolled_back":1,"escalated":0},"comm":{"uplink_bytes":1200,"downlink_bytes":2000,"retransmitted_bytes":0,"cumulative_bytes":6200},"eval":{"avg_accuracy":0.7,"avg_loss":0.9},"phases":{"fl/aggregate":{"total_ns":4000000,"count":1},"fl/local_train":{"total_ns":6000000,"count":4}}}
 {"type":"recovery","phase":"load","round":2,"path":"g0.ckpt","attempt":1,"ok":false,"error":"crc mismatch"}
-{"type":"crash","algo":"spatl","round":2,"recovered_to":1,"source":"baseline"}
-{"type":"flight","trigger":"crash_drill","round":2,"window":2,"rounds_seen":2,"rounds_dropped":0,"first_round":1,"last_round":2,"records":[]}
+{"type":"flight","trigger":"recovery_exhausted","round":2,"window":2,"rounds_seen":2,"rounds_dropped":0,"first_round":1,"last_round":2,"records":[]}
 )";
 
 bool expect(bool ok, const char* what) {
@@ -386,13 +384,13 @@ int self_test() {
                "participation sums");
   ok &= expect(r.accepted == 7 && r.rejected == 1 && r.retransmissions == 2,
                "acceptance sums");
-  ok &= expect(r.rollbacks == 1 && r.crashes == 1, "resilience counts");
+  ok &= expect(r.rollbacks == 1, "resilience counts");
   ok &= expect(r.recoveries_ok == 0 && r.recoveries_failed == 1,
                "recovery ladder counts");
   ok &= expect(r.alerts == 1 && r.alerts_by_rule.count("acc-floor") == 1,
                "alert attribution");
   ok &= expect(r.flight_dumps == 1 &&
-                   r.flight_by_trigger.count("crash_drill") == 1,
+                   r.flight_by_trigger.count("recovery_exhausted") == 1,
                "flight attribution");
   ok &= expect(r.has_eval && r.final_accuracy == 0.7 &&
                    r.best_accuracy == 0.7 && r.final_loss == 0.9,

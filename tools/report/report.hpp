@@ -1,7 +1,7 @@
 // Offline health reports over SPATL telemetry.
 //
 // spatl_report ingests the JSONL stream a run produced (round / alert /
-// crash / recovery / metrics / flight records, see DESIGN.md §10) plus an
+// recovery / metrics / flight records, see DESIGN.md §10) plus an
 // optional Chrome trace, folds them into one HealthReport, and renders it
 // as operator-facing markdown and machine-readable JSON
 // ("spatl-report-v1"). The JSON form doubles as a regression baseline:
@@ -62,7 +62,6 @@ struct HealthReport {
   std::uint64_t rounds_skipped = 0;
   std::uint64_t rollbacks = 0;
   std::uint64_t escalations = 0;
-  std::uint64_t crashes = 0;
   std::uint64_t recoveries_ok = 0;
   std::uint64_t recoveries_failed = 0;
 
@@ -87,8 +86,9 @@ struct HealthReport {
   std::uint64_t trace_events = 0;
   double trace_total_ms = 0.0;
 
-  // Records whose "type" is missing or unrecognised, and round records
-  // without a "counts" object — should stay zero on a healthy stream;
+  // Records whose "type" is missing, unrecognised or retired ("crash"), and
+  // round records without a "counts" object — should stay zero on a healthy
+  // stream;
   // surfaced so schema drift is visible in the report.
   std::uint64_t unknown_records = 0;
 };

@@ -67,13 +67,13 @@ int usage() {
                "           [--escalate-threshold F] [--escalate-patience N]\n"
                "           [--escalate-aggregator median|trimmed|krum|clipped]\n"
                "           [--escalate-reset-after N]\n"
-               "           elastic membership / admission / failover:\n"
+               "           elastic membership / admission / alerts:\n"
                "           [--churn-join F] [--churn-leave F]\n"
                "           [--churn-return F] [--churn-initial F]\n"
                "           [--churn-stale-weight F] [--churn-staleness-cap N]\n"
                "           [--churn-seed S] [--admit-max-participants N]\n"
                "           [--admit-max-uplink-bytes B]\n"
-               "           [--admit-policy shed|defer] [--crash-at R1,R2,...]\n"
+               "           [--admit-policy shed|defer]\n"
                "           [--alert-reject-rate F] [--alert-shed-rate F]\n"
                "           Byzantine attacks / robust aggregation:\n"
                "           [--byz-fraction F] [--byz-attack signflip|scale|\n"
@@ -152,7 +152,7 @@ void check_flags(const common::Flags& flags, std::vector<std::string> known) {
 int cmd_train(const common::Flags& flags) {
   std::vector<std::string> known = {
       "algo", "clients", "rounds", "beta", "seed", "epochs", "lr", "budget",
-      "topk", "sample-ratio", "out", "crash-at", "checkpoint-every",
+      "topk", "sample-ratio", "out", "checkpoint-every",
       "ckpt-dir", "ckpt-keep", "ckpt-verify", "no-store-resume",
       "divergence-factor", "metrics-out", "telemetry-every", "trace-out",
       "flight-window", "alert-reject-rate", "alert-shed-rate"};
@@ -292,21 +292,6 @@ int cmd_train(const common::Flags& flags) {
   ro.admission.policy =
       fl::parse_admission_policy(flags.get("admit-policy", "shed"));
 
-  // Failover drills: comma-separated crash rounds.
-  const std::string crash_at = flags.get("crash-at");
-  if (!crash_at.empty()) {
-    std::size_t pos = 0;
-    while (pos < crash_at.size()) {
-      std::size_t comma = crash_at.find(',', pos);
-      if (comma == std::string::npos) comma = crash_at.size();
-      const std::string tok = crash_at.substr(pos, comma - pos);
-      if (!tok.empty()) {
-        ro.crash_at_rounds.push_back(std::size_t(std::stoul(tok)));
-      }
-      pos = comma + 1;
-    }
-  }
-
   ro.fault_aware_sampling = flags.get_bool("fault-aware-sampling", false);
   ro.fault_ema_decay =
       flags.get_double("fault-ema-decay", ro.fault_ema_decay);
@@ -356,7 +341,7 @@ int cmd_train(const common::Flags& flags) {
 
   // Flight recorder: ring of the last N rendered round records, dumped
   // into the telemetry stream as one "flight" record when a divergence
-  // rollback, crash drill, or recovery-ladder exhaustion fires — the
+  // rollback or a start-up recovery-ladder exhaustion fires — the
   // rounds leading up to the incident, captured even when
   // --telemetry-every strides past them.
   std::unique_ptr<obs::FlightRecorder> flight;
@@ -422,10 +407,6 @@ int cmd_train(const common::Flags& flags) {
     std::printf("admission: %zu shed, %zu deferred (%s policy)\n",
                 result.total("shed"), result.total("deferred"),
                 fl::admission_policy_name(ro.admission.policy));
-  }
-  if (result.crashes_injected > 0) {
-    std::printf("failover: %zu server crashes injected and recovered\n",
-                result.crashes_injected);
   }
   if (ro.ckpt_store) {
     std::printf(
