@@ -191,10 +191,10 @@ struct RunSpec {
   std::optional<double> target_accuracy;
   std::size_t rounds_override = 0;  // 0 = use scale default
   bool capture_per_client = false;
-  /// Fault injection + defenses for resilience benches (clean run when
-  /// unset).
+  /// Fault injection for resilience benches (clean run when unset) and the
+  /// server's defenses (defaults: non-finite rejection, weighted mean).
   std::optional<fl::FaultConfig> faults;
-  std::optional<fl::ResilienceConfig> resilience;
+  fl::ResilienceConfig resilience;
   /// Semi-async straggler commit (bench_async); unset = synchronous policy.
   std::optional<fl::AsyncConfig> async;
   /// Elastic membership (bench_churn); unset = static population.

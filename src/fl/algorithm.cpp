@@ -29,15 +29,7 @@ void FederatedAlgorithm::set_fault_injection(const FaultModel* fault,
                                              const ResilienceConfig& resilience) {
   fault_ = fault;
   resilience_ = resilience;
-  defended_ = true;
   robust_ = make_robust_aggregator(resilience_);
-}
-
-void FederatedAlgorithm::clear_fault_injection() {
-  fault_ = nullptr;
-  resilience_ = ResilienceConfig{};
-  defended_ = false;
-  robust_.reset();
 }
 
 void FederatedAlgorithm::set_async(const AsyncConfig& async) {
@@ -151,24 +143,22 @@ FederatedAlgorithm::Delivery FederatedAlgorithm::deliver_update(
   }
   ++stats_.delivered;
 
-  if (defended_) {
-    if (resilience_.validate_updates && !is_finite(payload)) {
+  if (resilience_.validate_updates && !is_finite(payload)) {
+    d.accepted = false;
+    d.reason = RejectReason::kNonFinite;
+  } else if (resilience_.max_update_norm > 0.0) {
+    double sum = 0.0;
+    if (reference != nullptr && reference->size() == payload.size()) {
+      for (std::size_t j = 0; j < payload.size(); ++j) {
+        const double diff = double(payload[j]) - double((*reference)[j]);
+        sum += diff * diff;
+      }
+    } else {
+      for (const float x : payload) sum += double(x) * double(x);
+    }
+    if (sum > resilience_.max_update_norm * resilience_.max_update_norm) {
       d.accepted = false;
-      d.reason = RejectReason::kNonFinite;
-    } else if (resilience_.max_update_norm > 0.0) {
-      double sum = 0.0;
-      if (reference != nullptr && reference->size() == payload.size()) {
-        for (std::size_t j = 0; j < payload.size(); ++j) {
-          const double diff = double(payload[j]) - double((*reference)[j]);
-          sum += diff * diff;
-        }
-      } else {
-        for (const float x : payload) sum += double(x) * double(x);
-      }
-      if (sum > resilience_.max_update_norm * resilience_.max_update_norm) {
-        d.accepted = false;
-        d.reason = RejectReason::kNormBound;
-      }
+      d.reason = RejectReason::kNormBound;
     }
   }
   if (d.accepted && fault_ != nullptr && fault_->enabled()) {
@@ -245,8 +235,7 @@ void FederatedAlgorithm::state(StateArchive& ar) {
 }
 
 bool FederatedAlgorithm::quorum_met(std::size_t accepted_count) {
-  const std::size_t quorum =
-      defended_ ? std::max<std::size_t>(1, resilience_.min_quorum) : 1;
+  const std::size_t quorum = std::max<std::size_t>(1, resilience_.min_quorum);
   if (accepted_count >= quorum) return true;
   // Post-validation re-check: enough clients were admitted, but validation
   // (or loss / deadline policy) thinned the survivor set below quorum.

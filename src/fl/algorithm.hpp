@@ -7,8 +7,9 @@
 // parked for a late commit or accepted; a quorum gate over the accepted
 // list precedes the combine step. Algorithms override only the hooks they
 // differ in: the local gradient hook, the payload and park conversions, and
-// the server combine/step. With no fault model and no resilience installed
-// this is arithmetically identical to the clean-world path.
+// the server combine/step. A clean run takes this same path with no fault
+// model and the default ResilienceConfig: nothing is injected, and only a
+// non-finite update is turned away.
 //
 // Per-round communication is metered through CommLedger; SCAFFOLD and
 // FedNova pay the ~2x per-round cost the paper reports because their
@@ -93,15 +94,12 @@ class FederatedAlgorithm {
   const FlConfig& config() const { return config_; }
   models::SplitModel& global_model() { return global_; }
 
-  /// Install fault injection and/or server-side defenses for subsequent
+  /// Install the fault model and the server-side defenses for subsequent
   /// rounds (runner-managed). `fault` may be nullptr to run the defenses
-  /// without any injection. Until this is called (or after
-  /// clear_fault_injection()), run_round follows the exact clean-world
-  /// arithmetic and byte accounting.
+  /// without any injection; (nullptr, ResilienceConfig{}) is the state a
+  /// fresh algorithm starts in and the runner leaves behind.
   void set_fault_injection(const FaultModel* fault,
                            const ResilienceConfig& resilience);
-  void clear_fault_injection();
-  bool fault_path_active() const { return defended_; }
 
   /// Install the semi-asynchronous straggler policy (runner-managed): past-
   /// deadline clients are parked in the straggler buffer and commit late
@@ -268,7 +266,6 @@ class FederatedAlgorithm {
 
   const FaultModel* fault_ = nullptr;  // ckpt: none(borrowed; re-armed via set_fault_injection)
   ChurnEngine* churn_ = nullptr;       // ckpt: none(borrowed; persists itself under run/churn/)
-  bool defended_ = false;              // ckpt: none(derived from set_fault_injection)
   ResilienceConfig resilience_;        // ckpt: none(configuration)
   std::unique_ptr<RobustAggregator> robust_;  // ckpt: none(derived from resilience_)
   RoundStats stats_;                   // ckpt: none(per-round scratch)

@@ -12,9 +12,10 @@
 // counters), stale-update down-weighting, and a participation quorum below
 // which the round is skipped with the global model untouched.
 //
-// The whole path is strictly opt-in: with no FaultModel installed and no
-// ResilienceConfig requested, every algorithm's arithmetic and byte
-// accounting are unchanged from the clean-world code path.
+// Every run installs a ResilienceConfig; injection is opt-in. With no
+// FaultModel and the default config, a run's arithmetic and byte accounting
+// are those of a clean world, except that a non-finite update is rejected
+// instead of averaged in.
 #pragma once
 
 #include <cstddef>

@@ -15,7 +15,7 @@
 // clients has in common. The weighted-mean implementation reproduces the
 // classic FedAvg estimate; the algorithms keep their original fused loops on
 // that default path so the zero-attack configuration stays bit-identical to
-// the undefended code.
+// a clean run.
 #pragma once
 
 #include <cstdint>

@@ -226,17 +226,14 @@ class RoundLoop {
   const RoundCallback& callback_;
   const std::size_t num_clients_;
   const double ratio_;  // sample_ratio clamped into [0, 1]
-  const bool defended_;
-  const ResilienceConfig resilience_;
   const bool async_on_;
-  const bool krum_auto_;
   std::optional<FaultModel> faults_;
   std::optional<ChurnEngine> churn_;  // walks itself under run/churn/
   std::optional<store::CheckpointStore> store_;
   std::vector<std::size_t> all_clients_;  // the sampling pool without churn
 
   LoopState state_;
-  /// The policy installed this round: `resilience_`, upgraded in place when
+  /// The policy installed this round: opts.resilience, upgraded in place when
   /// the escalation tracker trips (downgraded by the opt-in quiet-streak
   /// de-escalation) and re-derived by a checkpoint load.
   ResilienceConfig current_;
@@ -250,13 +247,10 @@ RoundLoop::RoundLoop(FederatedAlgorithm& algo, const RunOptions& opts,
       callback_(callback),
       num_clients_(algo.environment().num_clients()),
       ratio_(std::clamp(opts.sample_ratio, 0.0, 1.0)),
-      defended_(opts.faults.has_value() || opts.resilience.has_value()),
-      resilience_(opts.resilience ? *opts.resilience : ResilienceConfig{}),
       async_on_(opts.async.has_value() && opts.async->enabled),
-      krum_auto_(opts.krum_auto_f && defended_),
       all_clients_(num_clients_),
       state_(opts, num_clients_),
-      current_(resilience_) {
+      current_(opts.resilience) {
   // Pin the compute backend before any kernel runs: every GEMM in the round
   // loop (client training, evaluation, the divergence guard's probe pass)
   // must execute on one backend for the run to be bit-replayable.
@@ -265,9 +259,9 @@ RoundLoop::RoundLoop(FederatedAlgorithm& algo, const RunOptions& opts,
   }
   std::iota(all_clients_.begin(), all_clients_.end(), std::size_t(0));
   result_.client_giveups.assign(num_clients_, 0);
-  result_.krum_f_estimate = resilience_.krum_f;
+  result_.krum_f_estimate = current_.krum_f;
   if (opts.faults) faults_.emplace(*opts.faults);
-  if (defended_) arm(current_);
+  arm(current_);
   // Semi-async straggler commit: every algorithm on the client-round
   // skeleton can park and replay updates.
   if (async_on_) algo.set_async(*opts.async);
@@ -311,7 +305,8 @@ RunResult RoundLoop::run() {
   result_.buffered_remaining = algo_.buffered_total();
   if (async_on_) algo_.clear_async();
   if (churn_) algo_.clear_churn();
-  if (defended_) algo_.clear_fault_injection();
+  // Drop the borrowed fault model: the algorithm outlives this loop.
+  algo_.set_fault_injection(nullptr, ResilienceConfig{});
   return std::move(result_);
 }
 
@@ -441,7 +436,8 @@ void RoundLoop::train(Round& r) {
   r.stats = r.admission;
   // Quorum gate: buffered updates due this round count toward the quorum —
   // a round carried by late commits alone is still a round.
-  const std::size_t quorum = std::max<std::size_t>(1, resilience_.min_quorum);
+  const std::size_t quorum =
+      std::max<std::size_t>(1, opts_.resilience.min_quorum);
   const std::size_t due = async_on_ ? algo_.buffered_due(r.index) : 0;
   if (r.active.size() + due < quorum) {
     // Not enough live participants to even start: skip the round and
@@ -467,13 +463,9 @@ void RoundLoop::train(Round& r) {
     algo_.save_state(snapshot);
     ledger_snap = algo_.ledger().snapshot();
   }
-  // Churn piggybacks on the defended path's per-round stats plumbing
-  // (returning-client discounts are attributed in deliver_update);
-  // begin_round/round_stats never touch a float, so reading them on the
-  // clean-with-churn path costs nothing.
-  if (defended_ || churn_) algo_.begin_round(r.index, r.admission);
+  algo_.begin_round(r.index, r.admission);
   algo_.run_round(r.active);
-  if (defended_ || churn_) r.stats = algo_.round_stats();
+  r.stats = algo_.round_stats();
   if (!guard) return;
 
   EvalSummary eval = algo_.evaluate_clients();
@@ -500,11 +492,7 @@ void RoundLoop::train(Round& r) {
     if (opts_.flight != nullptr) {
       opts_.flight->dump("divergence_rollback", r.index);
     }
-    if (defended_) {
-      arm(current_);
-    } else {
-      algo_.clear_fault_injection();
-    }
+    arm(current_);
     eval = algo_.evaluate_clients();
   }
   state_.prev_loss = eval.avg_loss;
@@ -513,18 +501,16 @@ void RoundLoop::train(Round& r) {
 
 void RoundLoop::observe(Round& r) {
   RoundStats& stats = r.stats;
-  // Adaptive escalation (defended path only): this round ran under the
-  // rule selected so far; its stats then feed the tracker, and a trip
-  // upgrades the aggregator for every round that follows (one-way unless a
-  // quiet streak de-escalates).
-  stats.escalated = defended_ && state_.escalation.active();
+  // Adaptive escalation: this round ran under the rule selected so far;
+  // its stats then feed the tracker, and a trip upgrades the aggregator for
+  // every round that follows (one-way unless a quiet streak de-escalates).
+  stats.escalated = state_.escalation.active();
   using Action = EscalationTracker::Action;
-  const Action action =
-      defended_ ? state_.escalation.observe(stats) : Action::kNone;
+  const Action action = state_.escalation.observe(stats);
   if (action != Action::kNone) {
     const bool up = action == Action::kEscalate;
     current_.aggregator =
-        up ? opts_.escalation.aggregator : resilience_.aggregator;
+        up ? opts_.escalation.aggregator : opts_.resilience.aggregator;
     arm(current_);
     common::log_debug(algo_.name(), " round ", r.index,
                       up ? " escalating aggregator to "
@@ -533,7 +519,7 @@ void RoundLoop::observe(Round& r) {
   }
   accumulate(result_, stats);
 
-  if (krum_auto_ && !stats.suspects.empty()) {
+  if (opts_.krum_auto_f && !stats.suspects.empty()) {
     // One ledger tick per client per round, however many aggregate calls
     // excluded it (multi-tensor algorithms may call the robust rule more
     // than once).
@@ -648,7 +634,7 @@ void RoundLoop::emit(const Round& r) {
   // Feature-gated fields: each appears only when its subsystem is
   // configured or the round did what it describes.
   if (churn_) rec.add("enrolled", std::uint64_t(stats.enrolled));
-  if (resilience_.retry.backoff_base > 0.0) {
+  if (opts_.resilience.retry.backoff_base > 0.0) {
     rec.add("backoff_wait", stats.backoff_wait);
   }
   if (stats.skipped) {
@@ -765,17 +751,15 @@ void RoundLoop::state(StateArchive& ar, std::size_t& round) {
   if (ar.loading()) {
     // Re-arm the aggregation rule the snapshot was running under,
     // escalated or the base rule.
-    current_ = resilience_;
-    if (defended_) {
-      if (state_.escalation.active()) {
-        current_.aggregator = opts_.escalation.aggregator;
-      }
-      arm(current_);
+    current_ = opts_.resilience;
+    if (state_.escalation.active()) {
+      current_.aggregator = opts_.escalation.aggregator;
     }
+    arm(current_);
   }
   ar.optional(!state_.defer_queue.empty())
       .u64s("run/admission_carryover", state_.defer_queue);
-  if (krum_auto_) {
+  if (opts_.krum_auto_f) {
     ar.optional().u64s("run/krum_ledger", state_.suspect_rounds);
     state_.suspect_rounds.resize(num_clients_);
     if (ar.loading()) retune_krum();
@@ -800,7 +784,7 @@ void RoundLoop::retune_krum() {
   const std::size_t cohort = cohort_size(ratio_, num_clients_);
   const std::size_t upper = cohort > 3 ? cohort - 3 : 0;
   const std::size_t f =
-      std::max(resilience_.krum_f, std::min(estimate, upper));
+      std::max(opts_.resilience.krum_f, std::min(estimate, upper));
   result_.krum_f_estimate = f;
   if (f == current_.krum_f) return;
   current_.krum_f = f;

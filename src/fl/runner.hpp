@@ -3,13 +3,14 @@
 //
 // Produces exactly the series the paper's figures plot — accuracy vs round
 // and accuracy vs cumulative communicated bytes — plus stop-at-target
-// queries for the rounds-to-target-accuracy tables. When RunOptions carries
-// a FaultConfig, the runner owns a deterministic FaultModel, drops
-// unavailable clients before the round, flags stragglers, skips rounds that
-// fall below the resilience quorum (global model untouched), and threads
-// the model into the algorithm for uplink corruption/loss injection and
-// server-side validation. With neither faults nor resilience requested the
-// clean-world behaviour is bit-identical to the undefended path.
+// queries for the rounds-to-target-accuracy tables. Every run takes one
+// path: the runner installs RunOptions::resilience (the server's defenses)
+// in the algorithm, and when RunOptions carries a FaultConfig it also owns
+// a deterministic FaultModel, drops unavailable clients before the round,
+// flags stragglers, and threads the model into the algorithm for uplink
+// corruption/loss injection. Rounds below the quorum are skipped with the
+// global model untouched. A clean run is this path with no fault model and
+// the default ResilienceConfig.
 #pragma once
 
 #include <functional>
@@ -68,9 +69,8 @@ struct RoundRecord {
   double avg_accuracy = 0.0;
   double avg_loss = 0.0;
   double cumulative_bytes = 0.0;
-  /// Participation/failure statistics of this round (zeros on the clean
-  /// path; `stats.skipped` marks a below-quorum round that left the global
-  /// model untouched).
+  /// Participation/failure statistics of this round (`stats.skipped` marks
+  /// a below-quorum round that left the global model untouched).
   RoundStats stats;
 };
 
@@ -93,10 +93,10 @@ struct RunOptions {
   /// Fault injection (dropout, stragglers, uplink corruption, message
   /// loss). nullopt = clean world.
   std::optional<FaultConfig> faults;
-  /// Server-side defenses (validation, retry budget, quorum, staleness).
-  /// nullopt = defaults when `faults` is set; when neither is set the
-  /// legacy undefended code path runs unchanged.
-  std::optional<ResilienceConfig> resilience;
+  /// Server-side defenses (validation, retry budget, quorum, staleness,
+  /// aggregation rule), installed on every run. The defaults reject only
+  /// non-finite updates and aggregate with the sample-weighted mean.
+  ResilienceConfig resilience;
 
   /// Semi-asynchronous straggler commit (DESIGN.md §11): past-deadline
   /// clients are parked and commit `lag` rounds later with weight
@@ -127,7 +127,7 @@ struct RunOptions {
   /// Adaptive aggregator escalation: once the suspicious-update fraction
   /// stays above threshold for `patience` rounds, permanently switch the
   /// aggregation rule to `escalation.aggregator` (mean -> median by
-  /// default). Only active on the defended path; disabled by default.
+  /// default). Disabled by default.
   EscalationConfig escalation;
 
   /// Fault-aware client sampling: track a per-client failure EMA (dropped,
@@ -173,8 +173,9 @@ struct RunOptions {
   /// active rule is Krum, re-arm its assumed-Byzantine bound f with the
   /// number of repeat suspects (excluded in >= 2 rounds), clamped to
   /// [resilience.krum_f, participants - 3]. The ledger rides checkpoints
-  /// as "run/krum_ledger" so resumed runs keep their estimate. Off = the
-  /// configured krum_f is never touched (bit-identical legacy path).
+  /// as "run/krum_ledger" so resumed runs keep their estimate. Only Krum
+  /// excludes clients, so under any other rule the ledger stays empty. Off =
+  /// the configured krum_f is never touched.
   bool krum_auto_f = false;
 
   /// Divergence guard: when > 0, evaluate after every round; if the average

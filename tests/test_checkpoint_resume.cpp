@@ -324,6 +324,55 @@ void expect_conserved(const RunResult& result) {
                                         result.total("dedup_dropped"));
 }
 
+/// Runs `algo` with one telemetry record per round into a scratch file
+/// named after `tag` and returns the parsed records; the metrics registry is
+/// reset first, so its fl.<name> counters cover this run only.
+std::vector<report::JsonValue> run_with_telemetry(FederatedAlgorithm& algo,
+                                                  RunOptions opts,
+                                                  const std::string& tag,
+                                                  RunResult& result) {
+  const std::string jsonl = (std::filesystem::temp_directory_path() /
+                             ("spatl_run_totals_" + tag + ".jsonl"))
+                                .string();
+  obs::MetricsRegistry::instance().reset();
+  {
+    obs::JsonlWriter sink(jsonl);
+    opts.telemetry = &sink;
+    opts.telemetry_every = 1;
+    result = run_federated(algo, opts);
+  }
+  std::ifstream in(jsonl);
+  std::stringstream text;
+  text << in.rdbuf();
+  in.close();
+  std::filesystem::remove(jsonl);
+  std::vector<report::JsonValue> records;
+  std::string err;
+  EXPECT_TRUE(report::parse_jsonl(text.str(), &records, &err)) << err;
+  return records;
+}
+
+/// Each row's per-round values in the round records sum to the run total,
+/// which the registry's fl.<name> counter also reaches.
+void expect_records_match_totals(const std::vector<report::JsonValue>& records,
+                                 const RunResult& result) {
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::instance().snapshot();
+  for (const RunCounter& c : run_counters()) {
+    std::uint64_t summed = 0;
+    for (const report::JsonValue& rec : records) {
+      ASSERT_EQ(rec.str("type"), "round");
+      const report::JsonValue* counts = rec.find("counts");
+      ASSERT_NE(counts, nullptr);
+      ASSERT_NE(counts->find(c.name), nullptr) << c.name;
+      summed += counts->u64(c.name);
+    }
+    EXPECT_EQ(summed, result.total(c.name)) << c.name;
+    const auto metric = snap.counters.find("fl." + std::string(c.name));
+    ASSERT_NE(metric, snap.counters.end()) << c.name;
+    EXPECT_EQ(metric->second, result.total(c.name)) << c.name;
+  }
+}
+
 TEST(RunTotals, ConservedInStraightAndCrashRecoveredRuns) {
   const auto source = small_source();
   common::Rng rng1(37);
@@ -331,18 +380,9 @@ TEST(RunTotals, ConservedInStraightAndCrashRecoveredRuns) {
   auto straight = make_algorithm("fedavg", env1);
   // The straight run also feeds the two other consumers of the counter
   // table: one telemetry record per round and the metrics registry.
-  const std::string jsonl =
-      (std::filesystem::temp_directory_path() / "spatl_run_totals.jsonl")
-          .string();
-  obs::MetricsRegistry::instance().reset();
   RunResult full;
-  {
-    obs::JsonlWriter sink(jsonl);
-    RunOptions opts = busy_options();
-    opts.telemetry = &sink;
-    opts.telemetry_every = 1;
-    full = run_federated(*straight, opts);
-  }
+  const auto records =
+      run_with_telemetry(*straight, busy_options(), "busy", full);
   ASSERT_EQ(full.history.size(), 6u);
   // The scenario must exercise the subsystems the table counts.
   ASSERT_GT(full.total("dropped"), 0u);
@@ -354,33 +394,8 @@ TEST(RunTotals, ConservedInStraightAndCrashRecoveredRuns) {
       full.total("joined") + full.total("left") + full.total("returned"), 0u);
   ASSERT_GT(full.total("retransmissions"), 0u);
   expect_conserved(full);
-
-  // Each row's per-round values in the round records sum to the run total,
-  // which the registry's fl.<name> counter also reaches.
-  std::ifstream in(jsonl);
-  std::stringstream text;
-  text << in.rdbuf();
-  in.close();
-  std::filesystem::remove(jsonl);
-  std::vector<report::JsonValue> records;
-  std::string err;
-  ASSERT_TRUE(report::parse_jsonl(text.str(), &records, &err)) << err;
   ASSERT_EQ(records.size(), 6u);
-  const obs::MetricsSnapshot snap = obs::MetricsRegistry::instance().snapshot();
-  for (const RunCounter& c : run_counters()) {
-    std::uint64_t summed = 0;
-    for (const report::JsonValue& rec : records) {
-      ASSERT_EQ(rec.str("type"), "round");
-      const report::JsonValue* counts = rec.find("counts");
-      ASSERT_NE(counts, nullptr);
-      ASSERT_NE(counts->find(c.name), nullptr) << c.name;
-      summed += counts->u64(c.name);
-    }
-    EXPECT_EQ(summed, full.total(c.name)) << c.name;
-    const auto metric = snap.counters.find("fl." + std::string(c.name));
-    ASSERT_NE(metric, snap.counters.end()) << c.name;
-    EXPECT_EQ(metric->second, full.total(c.name)) << c.name;
-  }
+  expect_records_match_totals(records, full);
   EXPECT_THROW(full.total("no_such_counter"), std::out_of_range);
 
   // Twin: crash after round 3 and recover from the round-2 store generation,
@@ -414,6 +429,41 @@ TEST(RunTotals, ConservedInStraightAndCrashRecoveredRuns) {
   ASSERT_EQ(wa.size(), wb.size());
   EXPECT_EQ(std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(float)), 0);
 }
+
+// A clean run (no faults, default resilience) accepts every client it
+// selects, and the round records, the run totals and the registry say so.
+// Local-only sends no uplink, so nothing is ever accepted.
+class RunTotalsClean : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(RunTotalsClean, EverySelectedClientIsAccepted) {
+  const auto source = small_source();
+  common::Rng rng(37);
+  FlEnvironment env(source, 4, 0.5, 0.25, rng);
+  auto algo = make_algorithm(GetParam(), env);
+  RunOptions opts;
+  opts.rounds = 3;
+  opts.sample_ratio = 0.75;
+  RunResult result;
+  const auto records = run_with_telemetry(*algo, opts, GetParam(), result);
+  ASSERT_EQ(records.size(), 3u);
+  const bool uplink = std::string(GetParam()) != "local-only";
+  for (const report::JsonValue& rec : records) {
+    const report::JsonValue* counts = rec.find("counts");
+    ASSERT_NE(counts, nullptr);
+    ASSERT_EQ(counts->u64("selected"), 3u);
+    EXPECT_EQ(counts->u64("accepted"), uplink ? 3u : 0u)
+        << "round " << rec.u64("round");
+  }
+  EXPECT_EQ(result.total("accepted"), uplink ? 9u : 0u);
+  expect_conserved(result);
+  expect_records_match_totals(records, result);
+}
+
+INSTANTIATE_TEST_SUITE_P(Algorithms, RunTotalsClean,
+                         ::testing::Values("fedavg", "fedprox", "fednova",
+                                           "scaffold", "spatl", "fedavgm",
+                                           "fedadam", "fedavg+topk",
+                                           "fedavg+int8", "local-only"));
 
 // --------------------------------------------------------- divergence guard --
 

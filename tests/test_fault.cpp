@@ -335,6 +335,39 @@ TEST(Resilience, FullCorruptionSkipsAggregationAndLeavesWeightsUntouched) {
             0);
 }
 
+// Validation runs on every path: with no fault model and no resilience
+// configured, an update that local training overflowed is rejected as
+// non-finite instead of averaged in, and a round no update survives is
+// skipped after validation with the global model untouched.
+TEST(Resilience, CleanRunRejectsUpdatesThatOverflowInTraining) {
+  const auto source = small_source();
+  common::Rng rng(61);
+  FlEnvironment env(source, 4, 5.0, 0.25, rng);
+  FlConfig cfg = small_config();
+  cfg.local.lr = 1.0e30;
+  FedAvg algo(env, cfg);
+  const auto before = global_weights(algo);
+
+  RunOptions opts;
+  opts.rounds = 2;
+  const auto result = run_federated(algo, opts);
+  ASSERT_EQ(result.history.size(), 2u);
+  for (const auto& rec : result.history) {
+    EXPECT_EQ(rec.stats.rejected_non_finite, 4u);
+    EXPECT_EQ(rec.stats.accepted, 0u);
+    EXPECT_TRUE(rec.stats.skipped);
+    EXPECT_EQ(rec.stats.skip_reason, SkipReason::kPostValidationQuorum);
+  }
+  EXPECT_EQ(result.total("rejected"), 8u);
+  EXPECT_EQ(result.total("skipped"), 2u);
+  const auto after = global_weights(algo);
+  EXPECT_TRUE(is_finite(after));
+  ASSERT_EQ(before.size(), after.size());
+  EXPECT_EQ(std::memcmp(before.data(), after.data(),
+                        before.size() * sizeof(float)),
+            0);
+}
+
 TEST(Resilience, QuorumSkipsRoundsWithTooFewLiveClients) {
   const auto source = small_source();
   common::Rng rng(59);

@@ -199,8 +199,7 @@ int cmd_train(const common::Flags& flags) {
   ro.sample_ratio = flags.get_double("sample-ratio", 1.0);
   ro.backend = flags.get("backend", "");
 
-  // Fault injection is active as soon as any --fault-* rate is set;
-  // resilience flags alone enable the defended path without injection.
+  // Fault injection is active as soon as any --fault-* rate is set.
   fl::FaultConfig fc;
   fc.dropout_rate = flags.get_double("fault-dropout", 0.0);
   fc.straggler_rate = flags.get_double("fault-straggler", 0.0);
@@ -220,30 +219,31 @@ int cmd_train(const common::Flags& flags) {
   fc.attack_noise_std = flags.get_double("byz-noise", fc.attack_noise_std);
   if (fc.any_faults()) ro.faults = fc;
 
+  // Server-side defenses: every run installs them, and unset flags keep
+  // ResilienceConfig's defaults.
+  fl::ResilienceConfig& rc = ro.resilience;
+  rc.min_quorum = std::size_t(flags.get_int("quorum", 1));
+  rc.max_update_norm = flags.get_double("max-update-norm", 0.0);
+  rc.stale_weight = flags.get_double("stale-weight", rc.stale_weight);
+  rc.retry.max_retries = std::size_t(flags.get_int("max-retries", 2));
+  rc.retry.backoff_base = flags.get_double("retry-backoff", 0.0);
+  rc.retry.backoff_factor =
+      flags.get_double("retry-backoff-factor", rc.retry.backoff_factor);
+  rc.retry.backoff_max =
+      flags.get_double("retry-backoff-max", rc.retry.backoff_max);
+  rc.retry.jitter = flags.get_double("retry-jitter", 0.0);
+  rc.aggregator = fl::parse_aggregator_kind(flags.get("aggregator", "mean"));
+  rc.trim_fraction = flags.get_double("trim-fraction", rc.trim_fraction);
+  rc.krum_f = std::size_t(flags.get_int("krum-f", 0));
+  rc.multi_krum = std::size_t(flags.get_int("multi-krum", 1));
+  rc.clip_norm = flags.get_double("clip-norm", 0.0);
+  // Only these flags (or a fault) print the participation summary, so a
+  // clean run's output is its round lines and the final line.
   const bool resilience_flags =
       flags.has("quorum") || flags.has("max-update-norm") ||
       flags.has("stale-weight") || flags.has("max-retries") ||
       flags.has("retry-backoff") || flags.has("retry-jitter") ||
       flags.has("aggregator");
-  if (resilience_flags || ro.faults) {
-    fl::ResilienceConfig rc;
-    rc.min_quorum = std::size_t(flags.get_int("quorum", 1));
-    rc.max_update_norm = flags.get_double("max-update-norm", 0.0);
-    rc.stale_weight = flags.get_double("stale-weight", rc.stale_weight);
-    rc.retry.max_retries = std::size_t(flags.get_int("max-retries", 2));
-    rc.retry.backoff_base = flags.get_double("retry-backoff", 0.0);
-    rc.retry.backoff_factor =
-        flags.get_double("retry-backoff-factor", rc.retry.backoff_factor);
-    rc.retry.backoff_max =
-        flags.get_double("retry-backoff-max", rc.retry.backoff_max);
-    rc.retry.jitter = flags.get_double("retry-jitter", 0.0);
-    rc.aggregator = fl::parse_aggregator_kind(flags.get("aggregator", "mean"));
-    rc.trim_fraction = flags.get_double("trim-fraction", rc.trim_fraction);
-    rc.krum_f = std::size_t(flags.get_int("krum-f", 0));
-    rc.multi_krum = std::size_t(flags.get_int("multi-krum", 1));
-    rc.clip_norm = flags.get_double("clip-norm", 0.0);
-    ro.resilience = rc;
-  }
 
   // Semi-asynchronous straggler commit (DESIGN.md §11). Only meaningful
   // alongside a --fault-deadline; harmless (bit-identical) otherwise.
@@ -362,7 +362,7 @@ int cmd_train(const common::Flags& flags) {
               algorithm->name().c_str(), result.final_accuracy * 100.0,
               result.best_accuracy * 100.0,
               common::format_bytes(result.comm.total()).c_str());
-  if (ro.faults || ro.resilience) {
+  if (ro.faults || resilience_flags) {
     std::printf(
         "participation: %zu selected, %zu accepted, %zu dropped, "
         "%zu stragglers, %zu rejected, %zu rounds skipped\n"
