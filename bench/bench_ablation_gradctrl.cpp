@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   RunSpec spec;
   spec.arch = "vgg11";
   spec.num_clients = 10;
-  spec.sample_ratio = 1.0;
+  spec.run.sample_ratio = 1.0;
   spec.beta = 0.3;
   // Control variates need warm drift estimates before they pay off (the
   // same late-crossover SCAFFOLD shows); run longer than the default.

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     RunSpec spec;
     spec.arch = "resnet20";
     spec.num_clients = s.clients;
-    spec.sample_ratio = s.ratio;
+    spec.run.sample_ratio = s.ratio;
 
     auto with_sel = default_spatl_options();
     auto without_sel = with_sel;

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   RunSpec spec;
   spec.arch = "resnet20";
   spec.num_clients = 10;
-  spec.sample_ratio = 1.0;
+  spec.run.sample_ratio = 1.0;
   spec.beta = 0.3;  // strong non-IID, where transfer matters most
 
   auto with_tl = default_spatl_options();

@@ -78,11 +78,11 @@ int main(int argc, char** argv) {
         fl::FaultConfig fc = make_resilience_faults();
         fc.straggler_rate = 0.5;
         fc.round_deadline = deadline;
-        spec.faults = fc;
+        spec.run.faults = fc;
         fl::ResilienceConfig rc = make_resilience_defenses();
         rc.stale_weight = stale_weight;
-        spec.resilience = rc;
-        spec.async = async;
+        spec.run.resilience = rc;
+        spec.run.async = async;
         return run_algorithm(algo, spec, scale, default_spatl_options(),
                              algo == "spatl" ? &agent : nullptr);
       };

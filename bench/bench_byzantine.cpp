@@ -72,8 +72,8 @@ int main(int argc, char** argv) {
     // Clean reference: no attackers, default mean aggregation.
     {
       RunSpec spec = make_resilience_spec();
-      spec.faults = make_resilience_faults();
-      spec.resilience = make_resilience_defenses();
+      spec.run.faults = make_resilience_faults();
+      spec.run.resilience = make_resilience_defenses();
       const AlgoRun run = run_algorithm(algo, spec, scale,
                                         default_spatl_options(),
                                         algo == "spatl" ? &agent : nullptr);
@@ -96,14 +96,14 @@ int main(int argc, char** argv) {
         fc.byzantine_clients = byzantine_cohort(spec.num_clients);
         fc.attack_kind = attack.kind;
         fc.attack_scale = attack.scale;
-        spec.faults = fc;
+        spec.run.faults = fc;
         fl::ResilienceConfig rc = make_resilience_defenses();
         rc.aggregator = fl::parse_aggregator_kind(aggr);
         rc.trim_fraction = 0.4;  // trims 3 of 9 per side: covers the 3
                                  // expected attackers even when one-sided
         rc.krum_f = 3;           // expected attackers per round
         rc.multi_krum = 3;
-        spec.resilience = rc;
+        spec.run.resilience = rc;
         const AlgoRun run = run_algorithm(algo, spec, scale,
                                           default_spatl_options(),
                                           algo == "spatl" ? &agent : nullptr);

@@ -74,11 +74,11 @@ RunSpec make_chaos_spec(std::size_t rounds) {
   fc.byzantine_clients[5] = 1;
   fc.attack_kind = fl::AttackKind::kScale;
   fc.attack_scale = 4.0;
-  spec.faults = fc;
+  spec.run.faults = fc;
 
   fl::ResilienceConfig rc = make_resilience_defenses();
   rc.aggregator = fl::AggregatorKind::kCoordinateMedian;
-  spec.resilience = rc;
+  spec.run.resilience = rc;
 
   fl::ChurnConfig cc;
   cc.initial_fraction = 0.8;
@@ -86,7 +86,7 @@ RunSpec make_chaos_spec(std::size_t rounds) {
   cc.leave_rate = 0.2;
   cc.return_rate = 0.4;
   cc.seed = kResilienceFaultSeed;
-  spec.churn = cc;
+  spec.run.churn = cc;
   return spec;
 }
 
@@ -155,13 +155,13 @@ int main(int argc, char** argv) {
     for (const auto& profile : storage_profiles()) {
       RunSpec spec = make_chaos_spec(rounds);
       spec.crash_at_rounds = crashes;
-      spec.checkpoint_every = 1;
+      spec.run.checkpoint_every = 1;
       fl::store::StoreConfig sc;
       sc.dir = (store_root / (algo + "_" + profile.name)).string();
       sc.keep_last = 2;
-      spec.ckpt_store = sc;
+      spec.run.ckpt_store = sc;
       fl::FaultyStoreIo io(profile.faults);
-      if (profile.faults.any()) spec.store_io = &io;
+      if (profile.faults.any()) spec.run.store_io = &io;
 
       common::Timer timer;
       const AlgoRun run =

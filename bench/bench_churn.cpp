@@ -61,10 +61,10 @@ int main(int argc, char** argv) {
           cc.leave_rate = rate;
           cc.return_rate = 2.0 * rate;  // absences stay short-lived
           cc.seed = kResilienceFaultSeed;
-          spec.churn = cc;
+          spec.run.churn = cc;
         }
-        spec.admission.max_participants = budget.max_participants;
-        spec.admission.policy = fl::AdmissionPolicy::kShed;
+        spec.run.admission.max_participants = budget.max_participants;
+        spec.run.admission.policy = fl::AdmissionPolicy::kShed;
 
         common::Timer timer;
         const AlgoRun run =

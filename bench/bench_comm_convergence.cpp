@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
       RunSpec spec;
       spec.arch = s.arch;
       spec.num_clients = s.clients;
-      spec.sample_ratio = s.ratio;
+      spec.run.sample_ratio = s.ratio;
       const AlgoRun run = run_algorithm(algo, spec, scale,
                                         default_spatl_options(),
                                         algo == "spatl" ? &agent : nullptr);

@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
       RunSpec spec;
       spec.arch = arch;
       spec.num_clients = 10;
-      spec.sample_ratio = 1.0;
-      spec.target_accuracy = target;
+      spec.run.sample_ratio = 1.0;
+      spec.run.target_accuracy = target;
       spec.rounds_override = max_rounds;
       const AlgoRun run = run_algorithm(algo, spec, scale,
                                         default_spatl_options(),

@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
       fc.corruption_rate = f.corruption;
       fc.corruption_kind = fl::CorruptionKind::kNaN;
       fc.loss_rate = f.loss;
-      spec.faults = fc;
-      spec.resilience = make_resilience_defenses();
+      spec.run.faults = fc;
+      spec.run.resilience = make_resilience_defenses();
       const AlgoRun run = run_algorithm(algo, spec, scale,
                                         default_spatl_options(),
                                         algo == "spatl" ? &agent : nullptr);

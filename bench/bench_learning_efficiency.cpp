@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     spec.arch = s.arch;
     spec.domain = s.domain;
     spec.num_clients = s.clients;
-    spec.sample_ratio = s.ratio;
+    spec.run.sample_ratio = s.ratio;
     spec.beta = s.beta;
 
     std::vector<AlgoRun> runs;

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     RunSpec spec;
     spec.arch = "resnet20";
     spec.num_clients = clients;
-    spec.sample_ratio = 1.0;
+    spec.run.sample_ratio = 1.0;
     spec.beta = 0.3;  // strong heterogeneity exposes the variance gap
     spec.capture_per_client = true;
     runs.push_back(run_algorithm(algo, spec, scale, default_spatl_options(),

@@ -186,34 +186,21 @@ struct RunSpec {
   std::string arch = "resnet20";
   std::string domain = "cifar";
   std::size_t num_clients = 10;
-  double sample_ratio = 1.0;
   double beta = 0.3;  // calibrated: synthetic task is easier than CIFAR, see EXPERIMENTS.md
-  std::optional<double> target_accuracy;
   std::size_t rounds_override = 0;  // 0 = use scale default
   bool capture_per_client = false;
-  /// Fault injection for resilience benches (clean run when unset) and the
-  /// server's defenses (defaults: non-finite rejection, weighted mean).
-  std::optional<fl::FaultConfig> faults;
-  fl::ResilienceConfig resilience;
-  /// Semi-async straggler commit (bench_async); unset = synchronous policy.
-  std::optional<fl::AsyncConfig> async;
-  /// Elastic membership (bench_churn); unset = static population.
-  std::optional<fl::ChurnConfig> churn;
-  /// Per-round admission budget (bench_churn); unlimited by default.
-  fl::AdmissionConfig admission;
+  /// The run's options: participation, target accuracy, fault model and
+  /// server defences, async, churn, admission, checkpointing and the
+  /// durable store (bench_chaos points `store_io` at a FaultyStoreIo).
+  /// run_algorithm sets rounds, eval_every, telemetry and the restart
+  /// fields itself. Benches build these typed configs directly and never
+  /// parse strings, so the CLI's flag setters have nothing to offer them.
+  fl::RunOptions run;
   /// Crash drills (bench_chaos): the run stops at the end of each of these
   /// rounds, the algorithm is dropped, and a freshly built one resumes from
   /// the durable store (or the last in-memory checkpoint without one).
+  /// Needs `run.checkpoint_every` for the drills to recover anything.
   std::vector<std::size_t> crash_at_rounds;
-  /// Checkpoint cadence (0 = off); required for the drills to have
-  /// anything durable to recover from.
-  std::size_t checkpoint_every = 0;
-  /// Durable generational checkpoint store (bench_chaos); unset = legacy
-  /// in-memory failover only.
-  std::optional<fl::store::StoreConfig> ckpt_store;
-  /// Storage IO hook — bench_chaos points this at a FaultyStoreIo to tear
-  /// and corrupt the store's writes. Borrowed; null = real filesystem.
-  fl::store::StoreIo* store_io = nullptr;
   /// Capture the final global weights into AlgoRun::final_weights (the
   /// chaos bench memcmps crashed runs against their uncrashed twins).
   bool capture_weights = false;
@@ -235,7 +222,7 @@ inline RunSpec make_resilience_spec() {
   RunSpec spec;
   spec.arch = "resnet20";
   spec.num_clients = 12;
-  spec.sample_ratio = 0.75;
+  spec.run.sample_ratio = 0.75;
   return spec;
 }
 
@@ -277,26 +264,11 @@ inline AlgoRun run_algorithm(const std::string& algo, const RunSpec& spec,
     return fl::make_baseline(algo, env, cfg);
   };
 
-  // One initializer: each optional config is copy-constructed in place,
-  // never default-built and then assigned.
-  fl::RunOptions ro{
-      .rounds = spec.rounds_override > 0 ? spec.rounds_override : s.rounds,
-      .sample_ratio = spec.sample_ratio,
-      .eval_every = s.eval_every,
-      .backend = {},
-      .target_accuracy = spec.target_accuracy,
-      .faults = spec.faults,
-      .resilience = spec.resilience,
-      .async = spec.async,
-      .churn = spec.churn,
-      .admission = spec.admission,
-      .escalation = {},
-      .checkpoint_every = spec.checkpoint_every,
-      .ckpt_store = spec.ckpt_store,
-      .store_io = spec.store_io,
-      .telemetry = g_telemetry_sink,
-      .telemetry_every = g_telemetry_every,
-  };
+  fl::RunOptions ro = spec.run;
+  ro.rounds = spec.rounds_override > 0 ? spec.rounds_override : s.rounds;
+  ro.eval_every = s.eval_every;
+  ro.telemetry = g_telemetry_sink;
+  ro.telemetry_every = g_telemetry_every;
 
   // Crash drills run the way a real crash happens: each segment runs to its
   // crash round and is dropped; the next builds a fresh algorithm and
@@ -334,7 +306,7 @@ inline AlgoRun run_algorithm(const std::string& algo, const RunSpec& spec,
   run.downlink_bytes = run.result.comm.downlink;
   run.retransmitted_bytes = run.result.comm.retransmitted;
   const double participants =
-      std::max(1.0, std::ceil(spec.sample_ratio * double(spec.num_clients)));
+      std::max(1.0, std::ceil(ro.sample_ratio * double(spec.num_clients)));
   const double effective_rounds =
       double(run.result.rounds_to_target.value_or(rounds));
   run.avg_round_client_bytes =

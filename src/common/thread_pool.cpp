@@ -23,16 +23,12 @@ struct PoolMetrics {
       obs::MetricsRegistry::instance().counter("threadpool.chunks");
   obs::Gauge queue_depth =
       obs::MetricsRegistry::instance().gauge("threadpool.queue_depth");
-  obs::Gauge busy_workers =
-      obs::MetricsRegistry::instance().gauge("threadpool.busy_workers");
 };
 
 PoolMetrics& pool_metrics() {
   static PoolMetrics metrics;
   return metrics;
 }
-
-std::atomic<std::int64_t> g_busy{0};
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
@@ -55,18 +51,13 @@ void ThreadPool::execute_chunk(std::unique_lock<std::mutex>& lock,
                                Batch& batch, std::size_t chunk,
                                const std::function<void(std::size_t)>& fn) {
   lock.unlock();
-  PoolMetrics& metrics = pool_metrics();
-  metrics.chunks.increment();
-  metrics.busy_workers.set(
-      double(g_busy.fetch_add(1, std::memory_order_relaxed) + 1));
+  pool_metrics().chunks.increment();
   std::exception_ptr err;
   try {
     fn(chunk);
   } catch (...) {
     err = std::current_exception();
   }
-  metrics.busy_workers.set(
-      double(g_busy.fetch_sub(1, std::memory_order_relaxed) - 1));
   lock.lock();
   if (err && !batch.error) batch.error = err;
   if (++batch.done == batch.total) done_cv_.notify_all();

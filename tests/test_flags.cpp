@@ -50,5 +50,32 @@ TEST(Flags, UnknownFlagCheck) {
   EXPECT_NO_THROW(f.check_known({"arch", "typo"}));
 }
 
+TEST(Flags, NumbersRejectTrailingCharacters) {
+  auto f = parse({"--rounds", "1.9", "--lr", "0.05abc", "--width", "0.5"});
+  EXPECT_THROW(f.get_int("rounds", 0), std::invalid_argument);
+  EXPECT_THROW(f.get_double("lr", 0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(f.get_double("width", 0), 0.5);
+}
+
+TEST(Flags, BoolRejectsAnythingButItsSixSpellings) {
+  auto f = parse({"--ckpt-verify", "maybe", "--a", "yes", "--b", "0",
+                  "--c=no"});
+  EXPECT_THROW(f.get_bool("ckpt-verify", false), std::invalid_argument);
+  EXPECT_TRUE(f.get_bool("a", false));
+  EXPECT_FALSE(f.get_bool("b", true));
+  EXPECT_FALSE(f.get_bool("c", true));
+}
+
+TEST(Flags, RepeatedFlagThrows) {
+  EXPECT_THROW(parse({"--rounds", "1", "--arch", "cnn2", "--rounds", "2"}),
+               std::invalid_argument);
+  EXPECT_THROW(parse({"--rounds=1", "--rounds", "1"}), std::invalid_argument);
+}
+
+TEST(Flags, UnknownCheckRejectsPositionals) {
+  auto f = parse({"--rounds", "2", "stray"});
+  EXPECT_THROW(f.check_known({"rounds"}), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace spatl::common

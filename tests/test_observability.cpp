@@ -264,7 +264,6 @@ TEST(MetricsRegistry, ThreadPoolSelfInstrumentationCountsChunks) {
   EXPECT_GE(snap.counters.at("threadpool.batches"), 1u);
   EXPECT_GE(snap.counters.at("threadpool.chunks"), 10u);
   EXPECT_TRUE(snap.gauges.count("threadpool.queue_depth"));
-  EXPECT_TRUE(snap.gauges.count("threadpool.busy_workers"));
 }
 
 // ---------------------------------------------------------------------------

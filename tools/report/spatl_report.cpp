@@ -57,22 +57,11 @@ int usage() {
   return 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const spatl::common::Flags& flags) {
   using spatl::report::DiffTolerances;
   using spatl::report::DiffViolation;
   using spatl::report::HealthReport;
   using spatl::report::JsonValue;
-
-  spatl::common::Flags flags(argc, argv, 1);
-  try {
-    flags.check_known({"jsonl", "trace", "out-json", "out-md", "diff",
-                       "tol-accuracy", "tol-bytes", "tol-p95", "self-test"});
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "spatl_report: %s\n", e.what());
-    return usage();
-  }
 
   if (flags.get_bool("self-test", false)) {
     const int rc = spatl::report::self_test();
@@ -169,4 +158,20 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "spatl_report: healthy vs %s\n", diff_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed, repeated or unknown flag, or a stray positional, is a
+  // usage error wherever it is read.
+  try {
+    const spatl::common::Flags flags(argc, argv, 1);
+    flags.check_known({"jsonl", "trace", "out-json", "out-md", "diff",
+                       "tol-accuracy", "tol-bytes", "tol-p95", "self-test"});
+    return run(flags);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "spatl_report: %s\n", e.what());
+    return usage();
+  }
 }

@@ -13,12 +13,19 @@
 //   spatl prune --arch resnet20 --budget 0.6
 //   spatl info --arch vgg11 --input 32 --width 1.0
 //
+// Every flag is one row of kFlags: its kind parses the value, its setter
+// writes the configuration, and its need says what must be configured for
+// the value to act. The usage text, each subcommand's known list, the
+// local-only rejection and the enabler checks are all read off the table,
+// so adding a flag is adding a row.
+//
 // usage() and top-level error reporting write straight to stderr by design
 // (a CLI's usage text must not depend on the log level):
 // spatl-lint: allow(raw-stderr)
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,67 +51,280 @@ using namespace spatl;
 
 namespace {
 
+/// Subcommands, as bits of a flag's `cmds` mask: bit i is kCmdNames[i].
+enum Cmd : unsigned { kTrain = 1, kEvaluate = 2, kPrune = 4, kInfo = 8 };
+constexpr unsigned kAll = kTrain | kEvaluate | kPrune | kInfo;
+const char* const kCmdNames[] = {"train", "evaluate", "prune", "info"};
+
+/// Usage sections, in table order. The uplink groups (kFault through
+/// kSampling) are rejected on --algo local-only, which has no uplink; a
+/// kDefence flag, like a fault model, prints the participation summary.
+enum Group { kModel, kRun, kFault, kDefence, kRobust, kAsync, kChurn,
+             kSampling, kRecovery, kTelemetry, kEvaluation, kPruning };
+const char* const kHeadings[] = {
+    "model / backend", "run", "fault injection", "server defences",
+    "robust aggregation", "semi-async straggler commit / escalation",
+    "elastic membership / admission", "fault-aware sampling", "recovery",
+    "telemetry (observation only)", "evaluation", "pruning"};
+
+/// How a value parses, and its usage placeholder: a count is an integer
+/// >= 0, a seed any integer (kept as its bit pattern), a switch a bool that
+/// may stand bare (`--async`).
+enum Kind { kCount, kSeed, kNumber, kSwitch, kText };
+const char* const kPlaceholders[] = {"N", "S", "F", "", ""};
+
+/// Everything a command line configures, at the subcommand's defaults.
+struct Config {
+  explicit Config(Cmd cmd) {
+    fl.local.epochs = cmd == kPrune ? 4 : 2;  // prune: dense warm-up epochs
+    spatl.agent_finetune_rounds = spatl.agent_finetune_episodes = 2;
+    run.rounds = 10;
+  }
+  std::string algo = "spatl";
+  std::size_t clients = 10;
+  double beta = 0.5;
+  fl::FlConfig fl{.model = {.input_size = 12, .width_mult = 0.25},
+                  .local = {.batch_size = 16, .lr = 0.05}};
+  core::SpatlOptions spatl;
+  fl::RunOptions run;
+  // These four reach `run` only once parse() finds them switched on.
+  fl::FaultConfig faults;
+  fl::AsyncConfig async;
+  fl::ChurnConfig churn;
+  fl::store::StoreConfig store;
+  // summary: a kDefence flag was given, so the participation lines print.
+  bool no_store_resume = false, summary = false;
+  std::string out, metrics_out, trace_out, ckpt;
+  std::vector<obs::AlertRule> alerts;
+  std::optional<std::size_t> flight_window;
+  std::size_t samples = 200, rl_rounds = 6;  // evaluate, prune
+};
+
+/// What must be configured for a flag's value to act, judged on the
+/// configuration the setters built: `error: --X needs <what>`.
+struct Need {
+  const char* what;
+  bool (*holds)(const Config&);
+};
+
+using enum fl::AggregatorKind;
+using enum fl::AttackKind;
+template <fl::AggregatorKind kind>
+bool uses_rule(const Config& c) {
+  return c.run.resilience.aggregator == kind ||
+         (c.run.escalation.enabled && c.run.escalation.aggregator == kind);
+}
+
+// Needs and flags are tables, one entry per line.
+#define HOLDS(expr) [](const Config& c) { return bool(expr); }
+const Need kFaultModel{"a fault model (a --fault-* or --byz-fraction rate > 0)",
+                       HOLDS(c.faults.any_faults())};
+const Need kCorruption{"--fault-corruption > 0", HOLDS(c.faults.corruption_rate > 0)};
+const Need kLoss{"--fault-loss > 0", HOLDS(c.faults.loss_rate > 0)};
+const Need kByzantine{"--byz-fraction > 0", HOLDS(c.faults.byzantine_fraction > 0)};
+const Need kScaleAttack{"--byz-attack scale or collude",
+                        HOLDS(c.faults.attack_kind == kScale ||
+                              c.faults.attack_kind == kFixedDirection)};
+const Need kNoiseAttack{"--byz-attack noise", HOLDS(c.faults.attack_kind == kGaussianNoise)};
+const Need kTrimRule{"trimmed in --aggregator/--escalate-aggregator", uses_rule<kTrimmedMean>};
+const Need kKrumRule{"krum in --aggregator/--escalate-aggregator", uses_rule<kKrum>};
+const Need kClipRule{"clipped in --aggregator/--escalate-aggregator", uses_rule<kNormClippedMean>};
+const Need kBackoff{"--retry-backoff > 0", HOLDS(c.run.resilience.retry.backoff_base > 0)};
+const Need kAsyncOn{"--async", HOLDS(c.async.enabled)};
+const Need kEscalateOn{"--escalate", HOLDS(c.run.escalation.enabled)};
+const Need kChurnOn{"churn (--churn-* > 0 or --churn-initial < 1)", HOLDS(c.churn.any_churn())};
+const Need kAdmissionCap{"an admission cap (--admit-max-* > 0)", HOLDS(c.run.admission.limited())};
+const Need kStore{"--ckpt-dir", HOLDS(c.store.enabled())};
+const Need kMetricsOut{"--metrics-out", HOLDS(!c.metrics_out.empty())};
+const Need kFaultAware{"--fault-aware-sampling", HOLDS(c.run.fault_aware_sampling)};
+const Need kTopk{"--algo fedavg+topk", HOLDS(c.algo == "fedavg+topk")};
+const Need kSpatl{"--algo spatl", HOLDS(c.algo == "spatl")};  // prune has no --algo
+
+/// A count flag's value: an integer >= 0.
+std::size_t count(const common::Flags& flags, const char* name) {
+  const long n = flags.get_int(name, 0);
+  if (n >= 0) return std::size_t(n);
+  throw std::invalid_argument(std::string("flag --") + name +
+                              " expects a count >= 0, got " +
+                              std::to_string(n));
+}
+
+fl::CorruptionKind parse_corruption_kind(const std::string& name) {
+  if (name == "nan") return fl::CorruptionKind::kNaN;
+  if (name == "inf") return fl::CorruptionKind::kInf;
+  if (name == "bitflip") return fl::CorruptionKind::kBitFlip;
+  throw std::invalid_argument("unknown corruption kind '" + name +
+                              "' (nan|inf|bitflip)");
+}
+
+struct Flag {
+  const char* name;
+  Group group;
+  Kind kind;
+  /// Reads the flag's value and writes it into the configuration.
+  void (*set)(Config& c, const common::Flags& flags, const char* name);
+  const Need* need = nullptr;  // null: the value acts on every run
+  const char* arg = nullptr;   // usage placeholder of a kText value
+  unsigned cmds = kTrain;      // subcommands that take the flag
+};
+
+// A row's kind and a setter that reads the value as that kind into `c.f`.
+#define SETTER(expr) \
+  [](Config& c, const common::Flags& flags, const char* name) { expr; }
+#define COUNT(f) kCount, SETTER(c.f = count(flags, name))
+#define SEED(f) kSeed, SETTER(c.f = std::uint64_t(flags.get_int(name, 0)))
+#define NUMBER(f) kNumber, SETTER(c.f = flags.get_double(name, 0))
+#define SWITCH(f) kSwitch, SETTER(c.f = flags.get_bool(name, false))
+#define TEXT(f) kText, SETTER(c.f = flags.get(name))
+#define PARSED(f, parse) kText, SETTER(c.f = parse(flags.get(name)))
+#define ALERT(rule, metric) \
+  kNumber, SETTER(c.alerts.push_back({rule, metric, flags.get_double(name, 0)}))
+const Flag kFlags[] = {
+    {"arch", kModel, TEXT(fl.model.arch), nullptr, "ARCH", kAll},
+    {"input", kModel, COUNT(fl.model.input_size), nullptr, nullptr, kAll},
+    {"width", kModel, NUMBER(fl.model.width_mult), nullptr, nullptr, kAll},
+    {"backend", kModel, TEXT(run.backend), nullptr, "scalar|cpu-simd|auto", kAll},
+
+    {"algo", kRun, TEXT(algo), nullptr,
+     "fedavg|fedprox|fednova|scaffold|fedavgm|fedadam|fedavg+topk|fedavg+int8|local-only|spatl"},
+    {"clients", kRun, COUNT(clients)},
+    {"rounds", kRun, COUNT(run.rounds)},
+    {"beta", kRun, NUMBER(beta)},
+    {"sample-ratio", kRun, NUMBER(run.sample_ratio)},
+    {"epochs", kRun, COUNT(fl.local.epochs), nullptr, nullptr, kTrain | kPrune},
+    {"lr", kRun, NUMBER(fl.local.lr)},
+    {"seed", kRun, SEED(fl.seed), nullptr, nullptr, kTrain | kEvaluate | kPrune},
+    {"budget", kRun, NUMBER(spatl.flops_budget), &kSpatl, nullptr, kTrain | kPrune},
+    {"topk", kRun, NUMBER(fl.topk_fraction), &kTopk},
+    {"out", kRun, TEXT(out), nullptr, "CKPT"},
+
+    {"fault-dropout", kFault, NUMBER(faults.dropout_rate)},
+    {"fault-straggler", kFault, NUMBER(faults.straggler_rate)},
+    {"fault-corruption", kFault, NUMBER(faults.corruption_rate)},
+    {"fault-corruption-kind", kFault, PARSED(faults.corruption_kind, parse_corruption_kind),
+     &kCorruption, "nan|inf|bitflip"},
+    {"fault-loss", kFault, NUMBER(faults.loss_rate)},
+    {"fault-seed", kFault, SEED(faults.seed), &kFaultModel},
+    {"fault-deadline", kFault, NUMBER(faults.round_deadline), &kFaultModel},
+    {"byz-fraction", kFault, NUMBER(faults.byzantine_fraction)},
+    {"byz-attack", kFault, PARSED(faults.attack_kind, fl::parse_attack_kind), &kByzantine,
+     "signflip|scale|noise|collude"},
+    {"byz-scale", kFault, NUMBER(faults.attack_scale), &kScaleAttack},
+    {"byz-noise", kFault, NUMBER(faults.attack_noise_std), &kNoiseAttack},
+
+    {"quorum", kDefence, COUNT(run.resilience.min_quorum)},
+    {"max-update-norm", kDefence, NUMBER(run.resilience.max_update_norm)},
+    {"stale-weight", kDefence, NUMBER(run.resilience.stale_weight), &kFaultModel},
+    {"max-retries", kDefence, COUNT(run.resilience.retry.max_retries), &kLoss},
+    {"retry-backoff", kDefence, NUMBER(run.resilience.retry.backoff_base)},
+    {"retry-backoff-factor", kDefence, NUMBER(run.resilience.retry.backoff_factor), &kBackoff},
+    {"retry-backoff-max", kDefence, NUMBER(run.resilience.retry.backoff_max), &kBackoff},
+    {"retry-jitter", kDefence, NUMBER(run.resilience.retry.jitter), &kBackoff},
+    {"aggregator", kDefence, PARSED(run.resilience.aggregator, fl::parse_aggregator_kind),
+     nullptr, "mean|median|trimmed|krum|clipped"},
+
+    {"trim-fraction", kRobust, NUMBER(run.resilience.trim_fraction), &kTrimRule},
+    {"krum-f", kRobust, COUNT(run.resilience.krum_f), &kKrumRule},
+    {"multi-krum", kRobust, COUNT(run.resilience.multi_krum), &kKrumRule},
+    {"krum-auto-f", kRobust, SWITCH(run.krum_auto_f), &kKrumRule},
+    {"clip-norm", kRobust, NUMBER(run.resilience.clip_norm), &kClipRule},
+
+    {"async", kAsync, SWITCH(async.enabled), &kFaultModel},
+    {"async-stale-weight", kAsync, NUMBER(async.stale_weight), &kAsyncOn},
+    {"async-max-lag", kAsync, COUNT(async.max_lag), &kAsyncOn},
+    {"escalate", kAsync, SWITCH(run.escalation.enabled)},
+    {"escalate-threshold", kAsync, NUMBER(run.escalation.suspect_threshold), &kEscalateOn},
+    {"escalate-patience", kAsync, COUNT(run.escalation.patience), &kEscalateOn},
+    {"escalate-aggregator", kAsync, PARSED(run.escalation.aggregator, fl::parse_aggregator_kind),
+     &kEscalateOn, "median|trimmed|krum|clipped"},
+    {"escalate-reset-after", kAsync, COUNT(run.escalation.reset_after_quiet), &kEscalateOn},
+
+    {"churn-join", kChurn, NUMBER(churn.join_rate)},
+    {"churn-leave", kChurn, NUMBER(churn.leave_rate)},
+    {"churn-return", kChurn, NUMBER(churn.return_rate)},
+    {"churn-initial", kChurn, NUMBER(churn.initial_fraction)},
+    {"churn-stale-weight", kChurn, NUMBER(churn.return_stale_weight), &kChurnOn},
+    {"churn-staleness-cap", kChurn, COUNT(churn.staleness_cap), &kChurnOn},
+    {"churn-seed", kChurn, SEED(churn.seed), &kChurnOn},
+    {"admit-max-participants", kChurn, COUNT(run.admission.max_participants)},
+    {"admit-max-uplink-bytes", kChurn, NUMBER(run.admission.max_uplink_bytes)},
+    {"admit-policy", kChurn, PARSED(run.admission.policy, fl::parse_admission_policy),
+     &kAdmissionCap, "shed|defer"},
+
+    {"fault-aware-sampling", kSampling, SWITCH(run.fault_aware_sampling)},
+    {"fault-ema-decay", kSampling, NUMBER(run.fault_ema_decay), &kFaultAware},
+
+    {"checkpoint-every", kRecovery, COUNT(run.checkpoint_every)},
+    {"ckpt-dir", kRecovery, TEXT(store.dir), nullptr, "DIR"},
+    {"ckpt-keep", kRecovery, COUNT(store.keep_last), &kStore},
+    {"ckpt-verify", kRecovery, SWITCH(store.verify_on_commit), &kStore},
+    {"no-store-resume", kRecovery, SWITCH(no_store_resume), &kStore},
+    {"divergence-factor", kRecovery, NUMBER(run.divergence_factor)},
+
+    {"metrics-out", kTelemetry, TEXT(metrics_out), nullptr, "FILE.jsonl"},
+    {"telemetry-every", kTelemetry, COUNT(run.telemetry_every), &kMetricsOut},
+    {"trace-out", kTelemetry, TEXT(trace_out), nullptr, "FILE.json"},
+    {"flight-window", kTelemetry, COUNT(flight_window)},
+    {"alert-reject-rate", kTelemetry, ALERT("reject_high", "fl.reject_rate")},
+    {"alert-shed-rate", kTelemetry, ALERT("shed_high", "fl.shed_rate")},
+
+    {"ckpt", kEvaluation, TEXT(ckpt), nullptr, "FILE", kEvaluate},
+    {"samples", kEvaluation, COUNT(samples), nullptr, nullptr, kEvaluate},
+    {"rl-rounds", kPruning, COUNT(rl_rounds), nullptr, nullptr, kPrune},
+};
+
 int usage() {
-  std::fprintf(stderr,
-               "usage: spatl <train|evaluate|prune|info> [--flags]\n"
-               "  train    --algo fedavg|fedprox|fednova|scaffold|fedavgm|"
-               "fedadam|fedavg+topk|fedavg+int8|local-only|spatl\n"
-               "           --arch ARCH --clients N --rounds R --beta B\n"
-               "           [--sample-ratio F] [--epochs E] [--lr F]\n"
-               "           [--input PX] [--width F] [--seed S] [--out CKPT]\n"
-               "           [--backend scalar|cpu-simd|auto]\n"
-               "           fault injection / resilience:\n"
-               "           [--fault-dropout F] [--fault-straggler F]\n"
-               "           [--fault-corruption F] [--fault-corruption-kind\n"
-               "            nan|inf|bitflip] [--fault-loss F] [--fault-seed S]\n"
-               "           [--fault-deadline T] [--max-retries N] [--quorum N]\n"
-               "           [--max-update-norm F] [--stale-weight F]\n"
-               "           [--retry-backoff T] [--retry-backoff-factor F]\n"
-               "           [--retry-backoff-max T] [--retry-jitter F]\n"
-               "           semi-async straggler commit / escalation:\n"
-               "           [--async] [--async-stale-weight F]\n"
-               "           [--async-max-lag N] [--escalate]\n"
-               "           [--escalate-threshold F] [--escalate-patience N]\n"
-               "           [--escalate-aggregator median|trimmed|krum|clipped]\n"
-               "           [--escalate-reset-after N]\n"
-               "           elastic membership / admission / alerts:\n"
-               "           [--churn-join F] [--churn-leave F]\n"
-               "           [--churn-return F] [--churn-initial F]\n"
-               "           [--churn-stale-weight F] [--churn-staleness-cap N]\n"
-               "           [--churn-seed S] [--admit-max-participants N]\n"
-               "           [--admit-max-uplink-bytes B]\n"
-               "           [--admit-policy shed|defer]\n"
-               "           [--alert-reject-rate F] [--alert-shed-rate F]\n"
-               "           Byzantine attacks / robust aggregation:\n"
-               "           [--byz-fraction F] [--byz-attack signflip|scale|\n"
-               "            noise|collude] [--byz-scale F] [--byz-noise F]\n"
-               "           [--aggregator mean|median|trimmed|krum|clipped]\n"
-               "           [--trim-fraction F] [--krum-f N] [--multi-krum N]\n"
-               "           [--clip-norm F] [--krum-auto-f]\n"
-               "           recovery / sampling:\n"
-               "           [--checkpoint-every K] [--ckpt-dir DIR]\n"
-               "           [--ckpt-keep K] [--ckpt-verify] [--no-store-resume]\n"
-               "           [--divergence-factor F]\n"
-               "           [--fault-aware-sampling] [--fault-ema-decay F]\n"
-               "           telemetry (observation only):\n"
-               "           [--metrics-out FILE.jsonl] [--telemetry-every N]\n"
-               "           [--trace-out FILE.json] [--flight-window N]\n"
-               "  evaluate --ckpt FILE --arch ARCH [--input PX] [--width F]\n"
-               "  prune    --arch ARCH --budget F [--rl-rounds N]\n"
-               "  info     --arch ARCH [--input PX] [--width F]\n");
+  std::string text = "usage: spatl <train|evaluate|prune|info> [--flags]\n";
+  for (unsigned i = 0; i < std::size(kCmdNames); ++i) {
+    text += std::string("  ") + kCmdNames[i];
+    const Flag* previous = nullptr;
+    for (const Flag& f : kFlags) {
+      if ((f.cmds & (1u << i)) == 0) continue;
+      if (previous == nullptr || previous->group != f.group) {
+        text += std::string("\n    ") + kHeadings[f.group] + ":";
+      }
+      const char* arg = f.arg != nullptr ? f.arg : kPlaceholders[f.kind];
+      text += std::string(" [--") + f.name + (*arg ? " " : "") + arg + "]";
+      previous = &f;
+    }
+    text += "\n";
+  }
+  std::fputs(text.c_str(), stderr);
   return 2;
 }
 
-models::ModelConfig model_config(const common::Flags& flags) {
-  models::ModelConfig cfg;
-  cfg.arch = flags.get("arch", "resnet20");
-  cfg.input_size = std::size_t(flags.get_int("input", 12));
-  cfg.width_mult = flags.get_double("width", 0.25);
-  if (cfg.arch == "cnn2") cfg.in_channels = 1;
-  if (!models::is_known_arch(cfg.arch)) {
-    throw std::invalid_argument("unknown --arch " + cfg.arch);
+/// Runs the setter of every flag given, then rejects what the run would not
+/// honour: an unknown flag, an uplink flag on local-only, a flag whose need
+/// does not hold.
+Config parse(Cmd cmd, const common::Flags& flags) {
+  std::vector<std::string> known;
+  std::vector<const Flag*> given;
+  for (const Flag& f : kFlags) {
+    if ((f.cmds & cmd) != 0) known.emplace_back(f.name);
+    if ((f.cmds & cmd) != 0 && flags.has(f.name)) given.push_back(&f);
   }
-  return cfg;
+  flags.check_known(known);
+  Config c(cmd);
+  for (const Flag* f : given) f->set(c, flags, f->name);
+  if (c.fl.model.arch == "cnn2") c.fl.model.in_channels = 1;
+  for (const Flag* f : given) {
+    const std::string flag = std::string("--") + f->name;
+    if (c.algo == "local-only" && f->group >= kFault &&
+        f->group <= kSampling) {
+      throw std::invalid_argument(flag + " does not apply to --algo " +
+                                  "local-only, which has no uplink");
+    }
+    if (f->need != nullptr && !f->need->holds(c)) {
+      throw std::invalid_argument(flag + " needs " + f->need->what);
+    }
+    c.summary = c.summary || f->group == kDefence;
+  }
+  if (c.faults.any_faults()) c.run.faults = c.faults;
+  if (c.async.enabled) c.run.async = c.async;
+  if (c.churn.any_churn()) c.run.churn = c.churn;
+  if (c.store.enabled()) c.run.ckpt_store = c.store;
+  c.run.resume_from_store = c.store.enabled() && !c.no_store_resume;
+  return c;
 }
 
 data::Dataset make_data(const models::ModelConfig& mc, std::size_t samples,
@@ -126,234 +346,46 @@ data::Dataset make_data(const models::ModelConfig& mc, std::size_t samples,
   }());
 }
 
-/// Fault, Byzantine, resilience, async, churn and admission flags: the
-/// uplink-side machinery that every algorithm but local-only runs through.
-const std::vector<std::string> kUplinkFlags = {
-    "fault-dropout", "fault-straggler", "fault-corruption",
-    "fault-corruption-kind", "fault-loss", "fault-deadline", "fault-seed",
-    "fault-aware-sampling", "fault-ema-decay", "byz-fraction", "byz-attack",
-    "byz-scale", "byz-noise", "quorum", "max-update-norm", "stale-weight",
-    "max-retries", "retry-backoff", "retry-backoff-factor",
-    "retry-backoff-max", "retry-jitter", "aggregator", "trim-fraction",
-    "krum-f", "multi-krum", "clip-norm", "krum-auto-f", "async",
-    "async-stale-weight", "async-max-lag", "escalate", "escalate-threshold",
-    "escalate-patience", "escalate-aggregator", "escalate-reset-after",
-    "churn-join", "churn-leave", "churn-return", "churn-initial",
-    "churn-stale-weight", "churn-staleness-cap", "churn-seed",
-    "admit-max-participants", "admit-max-uplink-bytes", "admit-policy"};
-
-/// Reject any flag outside `known` plus the model-shape and backend flags
-/// every subcommand takes: a misspelled flag must not be silently dropped.
-void check_flags(const common::Flags& flags, std::vector<std::string> known) {
-  known.insert(known.end(), {"arch", "input", "width", "backend"});
-  flags.check_known(known);
-}
-
-int cmd_train(const common::Flags& flags) {
-  std::vector<std::string> known = {
-      "algo", "clients", "rounds", "beta", "seed", "epochs", "lr", "budget",
-      "topk", "sample-ratio", "out", "checkpoint-every",
-      "ckpt-dir", "ckpt-keep", "ckpt-verify", "no-store-resume",
-      "divergence-factor", "metrics-out", "telemetry-every", "trace-out",
-      "flight-window", "alert-reject-rate", "alert-shed-rate"};
-  known.insert(known.end(), kUplinkFlags.begin(), kUplinkFlags.end());
-  check_flags(flags, known);
-  const std::string algo = flags.get("algo", "spatl");
-  for (const auto& f : kUplinkFlags) {
-    if (algo == "local-only" && flags.has(f)) {
-      throw std::invalid_argument("--" + f + " does not apply to --algo " +
-                                  "local-only, which has no uplink");
-    }
-  }
-  const std::size_t clients = std::size_t(flags.get_int("clients", 10));
-  const std::size_t rounds = std::size_t(flags.get_int("rounds", 10));
-  const double beta = flags.get_double("beta", 0.5);
-  const std::uint64_t seed = std::uint64_t(flags.get_int("seed", 42));
-
-  fl::FlConfig cfg;
-  cfg.model = model_config(flags);
-  cfg.local.epochs = std::size_t(flags.get_int("epochs", 2));
-  cfg.local.batch_size = 16;
-  cfg.local.lr = flags.get_double("lr", 0.05);
-  cfg.topk_fraction = flags.get_double("topk", cfg.topk_fraction);
-  cfg.seed = seed;
-
+int cmd_train(Config& c) {
   const auto source =
-      make_data(cfg.model, clients * 80, seed ^ 0xDA7AULL);
-  common::Rng env_rng(seed);
-  fl::FlEnvironment env(source, clients, beta, 0.25, env_rng);
+      make_data(c.fl.model, c.clients * 80, c.fl.seed ^ 0xDA7AULL);
+  common::Rng env_rng(c.fl.seed);
+  fl::FlEnvironment env(source, c.clients, c.beta, 0.25, env_rng);
 
-  std::unique_ptr<fl::FederatedAlgorithm> algorithm;
-  if (algo == "spatl") {
-    core::SpatlOptions opts;
-    opts.flops_budget = flags.get_double("budget", 0.6);
-    opts.agent_finetune_rounds = 2;
-    opts.agent_finetune_episodes = 2;
-    algorithm = std::make_unique<core::SpatlAlgorithm>(env, cfg, opts);
-  } else {
-    algorithm = fl::make_baseline(algo, env, cfg);
-  }
-
-  fl::RunOptions ro;
-  ro.rounds = rounds;
-  ro.sample_ratio = flags.get_double("sample-ratio", 1.0);
-  ro.backend = flags.get("backend", "");
-
-  // Fault injection is active as soon as any --fault-* rate is set.
-  fl::FaultConfig fc;
-  fc.dropout_rate = flags.get_double("fault-dropout", 0.0);
-  fc.straggler_rate = flags.get_double("fault-straggler", 0.0);
-  fc.corruption_rate = flags.get_double("fault-corruption", 0.0);
-  fc.loss_rate = flags.get_double("fault-loss", 0.0);
-  fc.round_deadline = flags.get_double("fault-deadline", fc.round_deadline);
-  fc.seed = std::uint64_t(flags.get_int("fault-seed", 0x5EEDFA17L));
-  const std::string kind = flags.get("fault-corruption-kind", "nan");
-  if (kind == "inf") fc.corruption_kind = fl::CorruptionKind::kInf;
-  else if (kind == "bitflip") fc.corruption_kind = fl::CorruptionKind::kBitFlip;
-  else if (kind != "nan") {
-    throw std::invalid_argument("unknown --fault-corruption-kind " + kind);
-  }
-  fc.byzantine_fraction = flags.get_double("byz-fraction", 0.0);
-  fc.attack_kind = fl::parse_attack_kind(flags.get("byz-attack", "signflip"));
-  fc.attack_scale = flags.get_double("byz-scale", fc.attack_scale);
-  fc.attack_noise_std = flags.get_double("byz-noise", fc.attack_noise_std);
-  if (fc.any_faults()) ro.faults = fc;
-
-  // Server-side defenses: every run installs them, and unset flags keep
-  // ResilienceConfig's defaults.
-  fl::ResilienceConfig& rc = ro.resilience;
-  rc.min_quorum = std::size_t(flags.get_int("quorum", 1));
-  rc.max_update_norm = flags.get_double("max-update-norm", 0.0);
-  rc.stale_weight = flags.get_double("stale-weight", rc.stale_weight);
-  rc.retry.max_retries = std::size_t(flags.get_int("max-retries", 2));
-  rc.retry.backoff_base = flags.get_double("retry-backoff", 0.0);
-  rc.retry.backoff_factor =
-      flags.get_double("retry-backoff-factor", rc.retry.backoff_factor);
-  rc.retry.backoff_max =
-      flags.get_double("retry-backoff-max", rc.retry.backoff_max);
-  rc.retry.jitter = flags.get_double("retry-jitter", 0.0);
-  rc.aggregator = fl::parse_aggregator_kind(flags.get("aggregator", "mean"));
-  rc.trim_fraction = flags.get_double("trim-fraction", rc.trim_fraction);
-  rc.krum_f = std::size_t(flags.get_int("krum-f", 0));
-  rc.multi_krum = std::size_t(flags.get_int("multi-krum", 1));
-  rc.clip_norm = flags.get_double("clip-norm", 0.0);
-  // Only these flags (or a fault) print the participation summary, so a
-  // clean run's output is its round lines and the final line.
-  const bool resilience_flags =
-      flags.has("quorum") || flags.has("max-update-norm") ||
-      flags.has("stale-weight") || flags.has("max-retries") ||
-      flags.has("retry-backoff") || flags.has("retry-jitter") ||
-      flags.has("aggregator");
-
-  // Semi-asynchronous straggler commit (DESIGN.md §11). Only meaningful
-  // alongside a --fault-deadline; harmless (bit-identical) otherwise.
-  if (flags.get_bool("async", false)) {
-    fl::AsyncConfig ac;
-    ac.enabled = true;
-    ac.stale_weight =
-        flags.get_double("async-stale-weight", ac.stale_weight);
-    ac.max_lag = std::size_t(flags.get_int("async-max-lag", int(ac.max_lag)));
-    ro.async = ac;
-  }
-  if (flags.get_bool("escalate", false)) {
-    ro.escalation.enabled = true;
-    ro.escalation.suspect_threshold = flags.get_double(
-        "escalate-threshold", ro.escalation.suspect_threshold);
-    ro.escalation.patience = std::size_t(
-        flags.get_int("escalate-patience", int(ro.escalation.patience)));
-    ro.escalation.aggregator = fl::parse_aggregator_kind(
-        flags.get("escalate-aggregator", "median"));
-    ro.escalation.reset_after_quiet = std::size_t(
-        flags.get_int("escalate-reset-after",
-                      int(ro.escalation.reset_after_quiet)));
-  }
-
-  // Elastic membership (DESIGN.md §12): any churn rate (or partial initial
-  // enrollment) turns on the deterministic churn engine.
-  fl::ChurnConfig cc;
-  cc.join_rate = flags.get_double("churn-join", 0.0);
-  cc.leave_rate = flags.get_double("churn-leave", 0.0);
-  cc.return_rate = flags.get_double("churn-return", 0.0);
-  cc.initial_fraction = flags.get_double("churn-initial", 1.0);
-  cc.return_stale_weight =
-      flags.get_double("churn-stale-weight", cc.return_stale_weight);
-  cc.staleness_cap = std::size_t(
-      flags.get_int("churn-staleness-cap", int(cc.staleness_cap)));
-  if (flags.has("churn-seed")) {
-    cc.seed = std::uint64_t(flags.get_int("churn-seed", 0));
-  }
-  if (cc.any_churn()) ro.churn = cc;
-
-  // Per-round admission budget (participant / uplink-byte caps).
-  ro.admission.max_participants =
-      std::size_t(flags.get_int("admit-max-participants", 0));
-  ro.admission.max_uplink_bytes =
-      flags.get_double("admit-max-uplink-bytes", 0.0);
-  ro.admission.policy =
-      fl::parse_admission_policy(flags.get("admit-policy", "shed"));
-
-  ro.fault_aware_sampling = flags.get_bool("fault-aware-sampling", false);
-  ro.fault_ema_decay =
-      flags.get_double("fault-ema-decay", ro.fault_ema_decay);
-  ro.checkpoint_every = std::size_t(flags.get_int("checkpoint-every", 0));
-  // Durable generational store (DESIGN.md §13): --ckpt-dir turns it on;
-  // commits happen on the --checkpoint-every cadence.
-  const std::string ckpt_dir = flags.get("ckpt-dir");
-  if (!ckpt_dir.empty()) {
-    fl::store::StoreConfig sc;
-    sc.dir = ckpt_dir;
-    sc.keep_last = std::size_t(flags.get_int("ckpt-keep", int(sc.keep_last)));
-    sc.verify_on_commit = flags.get_bool("ckpt-verify", false);
-    ro.ckpt_store = sc;
-    // Cross-run reuse: pointing a fresh process at the same directory
-    // resumes from the newest valid generation automatically;
-    // --no-store-resume forces a cold start.
-    ro.resume_from_store = !flags.get_bool("no-store-resume", false);
-  }
-  ro.krum_auto_f = flags.get_bool("krum-auto-f", false);
-  ro.divergence_factor = flags.get_double("divergence-factor", 0.0);
+  const std::unique_ptr<fl::FederatedAlgorithm> algorithm =
+      c.algo == "spatl"
+          ? std::make_unique<core::SpatlAlgorithm>(env, c.fl, c.spatl)
+          : fl::make_baseline(c.algo, env, c.fl);
 
   // Telemetry (DESIGN.md §10). Observation only: attaching the sink or
   // enabling the tracer never changes a float of the run.
-  std::unique_ptr<obs::JsonlWriter> telemetry;
-  const std::string metrics_out = flags.get("metrics-out");
-  const std::string trace_out = flags.get("trace-out");
-  if (!metrics_out.empty()) {
-    telemetry = std::make_unique<obs::JsonlWriter>(metrics_out);
-    ro.telemetry = telemetry.get();
-    ro.telemetry_every = std::size_t(
-        std::max(1, int(flags.get_int("telemetry-every", 1))));
-  }
-  if (!trace_out.empty()) obs::Tracer::instance().set_enabled(true);
+  const auto telemetry =
+      c.metrics_out.empty()
+          ? nullptr
+          : std::make_unique<obs::JsonlWriter>(c.metrics_out);
+  c.run.telemetry = telemetry.get();
+  if (!c.trace_out.empty()) obs::Tracer::instance().set_enabled(true);
 
   // Threshold -> alert hook: alert records share the telemetry sink (or
   // are just counted when no --metrics-out was given).
   obs::AlertWatcher alerts(telemetry.get());
-  if (flags.has("alert-reject-rate")) {
-    alerts.add_rule({"reject_high", "fl.reject_rate",
-                     flags.get_double("alert-reject-rate", 0.5), true});
-  }
-  if (flags.has("alert-shed-rate")) {
-    alerts.add_rule({"shed_high", "fl.shed_rate",
-                     flags.get_double("alert-shed-rate", 0.5), true});
-  }
-  if (alerts.rule_count() > 0) ro.alerts = &alerts;
+  for (const obs::AlertRule& rule : c.alerts) alerts.add_rule(rule);
+  if (alerts.rule_count() > 0) c.run.alerts = &alerts;
 
   // Flight recorder: ring of the last N rendered round records, dumped
   // into the telemetry stream as one "flight" record when a divergence
   // rollback or a start-up recovery-ladder exhaustion fires — the
   // rounds leading up to the incident, captured even when
   // --telemetry-every strides past them.
-  std::unique_ptr<obs::FlightRecorder> flight;
-  if (flags.has("flight-window")) {
-    flight = std::make_unique<obs::FlightRecorder>(
-        telemetry.get(),
-        std::size_t(std::max(1, int(flags.get_int("flight-window", 16)))));
-    ro.flight = flight.get();
-  }
+  const auto flight =
+      c.flight_window
+          ? std::make_unique<obs::FlightRecorder>(telemetry.get(),
+                                                  *c.flight_window)
+          : nullptr;
+  c.run.flight = flight.get();
 
   const auto result = fl::run_federated(
-      *algorithm, ro, [&](std::size_t round, const fl::RoundRecord& rec) {
+      *algorithm, c.run, [&](std::size_t round, const fl::RoundRecord& rec) {
         std::printf("round %3zu  acc %5.1f%%  loss %.3f  comm %s\n", round,
                     rec.avg_accuracy * 100.0, rec.avg_loss,
                     common::format_bytes(rec.cumulative_bytes).c_str());
@@ -362,65 +394,63 @@ int cmd_train(const common::Flags& flags) {
               algorithm->name().c_str(), result.final_accuracy * 100.0,
               result.best_accuracy * 100.0,
               common::format_bytes(result.comm.total()).c_str());
-  if (ro.faults || resilience_flags) {
+  const auto total = [&](const char* name) { return result.total(name); };
+  if (c.run.faults || c.summary) {
     std::printf(
         "participation: %zu selected, %zu accepted, %zu dropped, "
         "%zu stragglers, %zu rejected, %zu rounds skipped\n"
         "retry path: %zu retransmissions, %s retransmitted\n",
-        result.total("selected"), result.total("accepted"),
-        result.total("dropped"), result.total("stragglers"),
-        result.total("rejected"),
-        result.total("skipped"), result.total("retransmissions"),
+        total("selected"), total("accepted"), total("dropped"),
+        total("stragglers"), total("rejected"), total("skipped"),
+        total("retransmissions"),
         common::format_bytes(result.comm.retransmitted).c_str());
-    if (result.total("parked") > 0 || result.buffered_remaining > 0) {
+    if (total("parked") > 0 || result.buffered_remaining > 0) {
       std::printf(
           "semi-async: %zu parked, %zu committed late, %zu still buffered "
           "at exit\n",
-          result.total("parked"), result.total("late_commits"),
-          result.buffered_remaining);
+          total("parked"), total("late_commits"), result.buffered_remaining);
     }
-    if (result.total("escalated") > 0) {
+    if (total("escalated") > 0) {
       std::printf("escalation: %zu rounds under the escalated aggregator\n",
-                  result.total("escalated"));
+                  total("escalated"));
     }
-    if (result.total_backoff_wait > 0.0 || result.total("giveups") > 0) {
+    if (result.total_backoff_wait > 0.0 || total("giveups") > 0) {
       std::printf("retry discipline: %.2f total backoff wait, %zu give-ups\n",
-                  result.total_backoff_wait, result.total("giveups"));
+                  result.total_backoff_wait, total("giveups"));
     }
-    if (result.total("attacked") > 0 || result.total("suspected") > 0 ||
-        result.total("rolled_back") > 0) {
+    if (total("attacked") > 0 || total("suspected") > 0 ||
+        total("rolled_back") > 0) {
       std::printf(
           "robustness: %zu attacked uplinks, %zu suspected by the "
           "aggregator, %zu rounds rolled back\n",
-          result.total("attacked"), result.total("suspected"),
-          result.total("rolled_back"));
+          total("attacked"), total("suspected"), total("rolled_back"));
     }
   }
-  if (ro.churn) {
+  if (c.run.churn) {
     std::printf(
         "churn: %zu joined, %zu left, %zu returned, %zu returning "
         "uplinks discounted\n",
-        result.total("joined"), result.total("left"), result.total("returned"),
-        result.total("returning_discounted"));
+        total("joined"), total("left"), total("returned"),
+        total("returning_discounted"));
   }
-  if (ro.admission.limited()) {
+  if (c.run.admission.limited()) {
     std::printf("admission: %zu shed, %zu deferred (%s policy)\n",
-                result.total("shed"), result.total("deferred"),
-                fl::admission_policy_name(ro.admission.policy));
+                total("shed"), total("deferred"),
+                fl::admission_policy_name(c.run.admission.policy));
   }
-  if (ro.ckpt_store) {
+  if (c.run.ckpt_store) {
     std::printf(
         "durable store: %zu generation(s) committed to %s, %zu commit "
         "failure(s), %zu recovered from disk, %zu ladder attempt(s) "
         "rejected\n",
-        result.store_commits, ro.ckpt_store->dir.c_str(),
+        result.store_commits, c.run.ckpt_store->dir.c_str(),
         result.store_commit_failures, result.recoveries_from_store,
         result.recovery_attempts_failed);
   }
-  if (ro.krum_auto_f) {
+  if (c.run.krum_auto_f) {
     std::printf("krum auto-f: final estimate %zu\n", result.krum_f_estimate);
   }
-  if (ro.alerts != nullptr) {
+  if (c.run.alerts != nullptr) {
     std::printf("alerts: %zu emitted\n", alerts.alerts_emitted());
   }
   if (flight != nullptr) {
@@ -431,67 +461,53 @@ int cmd_train(const common::Flags& flags) {
     std::printf("checkpoints: %zu written\n", result.checkpoints_written);
   }
   if (telemetry != nullptr) {
-    obs::JsonObject rec;
-    rec.add("type", "metrics")
-        .add_raw("metrics",
-                 obs::metrics_object(
-                     obs::MetricsRegistry::instance().snapshot())
-                     .str());
-    telemetry->write(rec);
+    const auto snapshot = obs::MetricsRegistry::instance().snapshot();
+    telemetry->write(obs::JsonObject().add("type", "metrics").add_raw(
+        "metrics", obs::metrics_object(snapshot).str()));
     std::printf("telemetry: %zu records -> %s\n", telemetry->lines(),
-                metrics_out.c_str());
+                c.metrics_out.c_str());
   }
-  if (!trace_out.empty()) {
-    obs::write_chrome_trace(obs::Tracer::instance(), trace_out);
-    std::printf("trace written to %s\n", trace_out.c_str());
+  if (!c.trace_out.empty()) {
+    obs::write_chrome_trace(obs::Tracer::instance(), c.trace_out);
+    std::printf("trace written to %s\n", c.trace_out.c_str());
     obs::Tracer::instance().set_enabled(false);
   }
 
-  const std::string out = flags.get("out");
-  if (!out.empty()) {
-    models::save_checkpoint(out, algorithm->global_model());
-    std::printf("checkpoint written to %s\n", out.c_str());
+  if (!c.out.empty()) {
+    models::save_checkpoint(c.out, algorithm->global_model());
+    std::printf("checkpoint written to %s\n", c.out.c_str());
   }
   return 0;
 }
 
-int cmd_evaluate(const common::Flags& flags) {
-  check_flags(flags, {"ckpt", "samples", "seed"});
-  const std::string ckpt = flags.get("ckpt");
-  if (ckpt.empty()) return usage();
-  const auto mc = model_config(flags);
+int cmd_evaluate(Config& c) {
+  if (c.ckpt.empty()) return usage();
+  const models::ModelConfig& mc = c.fl.model;
   common::Rng rng(1);
   auto model = models::build_model(mc, rng);
-  models::load_checkpoint(ckpt, model);
-  const auto data =
-      make_data(mc, std::size_t(flags.get_int("samples", 200)),
-                std::uint64_t(flags.get_int("seed", 42)) ^ 0xDA7AULL);
+  models::load_checkpoint(c.ckpt, model);
+  const auto data = make_data(mc, c.samples, c.fl.seed ^ 0xDA7AULL);
   const auto r = data::evaluate(model, data);
   std::printf("%s on %zu samples: accuracy %5.1f%%, loss %.3f\n",
               mc.arch.c_str(), r.samples, r.accuracy * 100.0, r.loss);
   return 0;
 }
 
-int cmd_prune(const common::Flags& flags) {
-  check_flags(flags, {"budget", "seed", "epochs", "rl-rounds"});
-  const auto mc = model_config(flags);
-  const double budget = flags.get_double("budget", 0.6);
-  common::Rng rng(std::uint64_t(flags.get_int("seed", 42)));
+int cmd_prune(Config& c) {
+  const models::ModelConfig& mc = c.fl.model;
+  common::Rng rng(c.fl.seed);
   auto model = models::build_model(mc, rng);
 
   const auto train = make_data(mc, 400, 7);
   const auto val = make_data(mc, 120, 8);
-  data::TrainOptions topts;
-  topts.epochs = std::size_t(flags.get_int("epochs", 4));
-  topts.lr = 0.05;
+  const data::TrainOptions topts{.epochs = c.fl.local.epochs, .lr = 0.05};
   data::train_supervised(model, train, topts, rng, model.all_params());
   const double dense_acc = data::evaluate(model, val).accuracy;
 
-  rl::PruningEnv env(model, val, {.flops_budget = budget});
+  rl::PruningEnv env(model, val, {.flops_budget = c.spatl.flops_budget});
   rl::PpoAgent agent(graph::kNumNodeFeatures, rl::PpoConfig{},
-                     std::uint64_t(flags.get_int("seed", 42)) ^ 0xA6E47ULL);
-  const auto hist = rl::train_on_pruning(
-      agent, env, std::size_t(flags.get_int("rl-rounds", 6)), 3);
+                     c.fl.seed ^ 0xA6E47ULL);
+  const auto hist = rl::train_on_pruning(agent, env, c.rl_rounds, 3);
   prune::apply_sparsities(model, hist.best_sparsities,
                           prune::Criterion::kL2);
   const double pruned_acc = data::evaluate(model, val).accuracy;
@@ -505,9 +521,8 @@ int cmd_prune(const common::Flags& flags) {
   return 0;
 }
 
-int cmd_info(const common::Flags& flags) {
-  check_flags(flags, {});
-  const auto mc = model_config(flags);
+int cmd_info(Config& c) {
+  const models::ModelConfig& mc = c.fl.model;
   common::Rng rng(1);
   auto model = models::build_model(mc, rng);
   std::printf("%s (input %zux%zu, width x%.2f)\n", mc.arch.c_str(),
@@ -532,28 +547,29 @@ int cmd_info(const common::Flags& flags) {
   return 0;
 }
 
+// In kCmdNames order.
+int (*const kCommands[])(Config&) = {cmd_train, cmd_evaluate, cmd_prune,
+                                     cmd_info};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string cmd = argv[1];
-  common::set_log_level(common::LogLevel::kWarn);
-  try {
-    common::Flags flags(argc, argv, 2);
-    // Backend selection applies to every subcommand: evaluate/prune/info run
-    // the same GEMM kernels as training. train additionally records it in
-    // RunOptions so the runner re-pins it before the round loop.
-    const std::string backend = flags.get("backend", "");
-    if (!backend.empty()) {
-      tensor::set_active_backend(tensor::parse_backend(backend));
+  for (unsigned i = 0; i < std::size(kCmdNames); ++i) {
+    if (argc < 2 || kCmdNames[i] != std::string(argv[1])) continue;
+    common::set_log_level(common::LogLevel::kWarn);
+    try {
+      Config c = parse(Cmd(1u << i), common::Flags(argc, argv, 2));
+      // Backend selection applies to every subcommand: evaluate/prune/info
+      // run the same GEMM kernels as training. train additionally records it
+      // in RunOptions so the runner re-pins it before the round loop.
+      if (!c.run.backend.empty()) {
+        tensor::set_active_backend(tensor::parse_backend(c.run.backend));
+      }
+      return kCommands[i](c);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
     }
-    if (cmd == "train") return cmd_train(flags);
-    if (cmd == "evaluate") return cmd_evaluate(flags);
-    if (cmd == "prune") return cmd_prune(flags);
-    if (cmd == "info") return cmd_info(flags);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
   }
   return usage();
 }
