@@ -6,6 +6,9 @@
 #
 #   cmake -DSPATL=<spatl binary> -DWORK_DIR=<scratch dir> \
 #         -P tools/cli_rejects.cmake
+#
+# With -DCASE_PATTERN=<regex> -DCASE_ARGS="<spatl arguments>" it checks that
+# one command instead of the table below.
 foreach(var SPATL WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "cli_rejects: -D${var}=... is required")
@@ -28,28 +31,30 @@ function(rejects pattern)
                   TIMEOUT 60)
   if(NOT rc STREQUAL "1" OR NOT err MATCHES "error: ${pattern}")
     string(REPLACE ";" " " shown "${ARGN}")
-    set(failures "${failures}\nspatl ${shown}\n  exit ${rc}, want 1; "
-                 "stderr: ${err}  want: error: ${pattern}\n" PARENT_SCOPE)
+    set(failures "${failures}\nspatl ${shown}\n  exit ${rc}, want 1; \
+stderr: ${err}  want: error: ${pattern}\n" PARENT_SCOPE)
   endif()
 endfunction()
 
+if(DEFINED CASE_PATTERN)
+  separate_arguments(case_args UNIX_COMMAND "${CASE_ARGS}")
+  rejects("${CASE_PATTERN}" ${case_args})
+  file(REMOVE_RECURSE "${WORK_DIR}")
+  if(NOT failures STREQUAL "")
+    message(FATAL_ERROR "command the CLI did not reject:${failures}")
+  endif()
+  return()
+endif()
+
 set(fault_model "needs a fault model")
 
-# Unknown flags, including the removed --checkpoint-path and --crash-at
-# (these three keep the arguments of the WILL_FAIL tests they replace).
-rejects("unknown flag --input-size" info --arch cnn2 --input-size 8)
-rejects("unknown flag --checkpoint-path" train --algo fedavg --arch cnn2
-        --input 8 --clients 2 --rounds 1 --checkpoint-path x)
-rejects("unknown flag --crash-at" train --algo fedavg --arch cnn2 --input 8
-        --clients 2 --rounds 1 --crash-at 1)
+# Unknown flags (--input-size and the removed --checkpoint-path and
+# --crash-at have ctests of their own in tools/CMakeLists.txt).
 rejects("unknown flag --rl-rounds" ${train} --rl-rounds 2)
 rejects("unknown flag --budget" evaluate --ckpt x --budget 0.5)
 
-# Uplink flags on an algorithm without an uplink (the first keeps the
-# arguments of the WILL_FAIL test it replaces).
-rejects("--fault-dropout does not apply to --algo local-only"
-        train --algo local-only --arch cnn2 --input 8 --clients 2
-        --rounds 1 --fault-dropout 0.5)
+# Uplink flags on an algorithm without an uplink (--fault-dropout has a
+# ctest of its own in tools/CMakeLists.txt).
 rejects("--escalate does not apply to --algo local-only"
         train --algo local-only --arch cnn2 --input 8 --clients 2
         --rounds 1 --escalate)
