@@ -93,7 +93,6 @@ int main(int argc, char** argv) {
         rows.push_back({"sync-stale", sw, 0, run_mode(std::nullopt, sw)});
         for (const std::size_t lag : max_lags) {
           fl::AsyncConfig ac;
-          ac.enabled = true;
           ac.stale_weight = sw;
           ac.max_lag = lag;
           rows.push_back({"async", sw, lag, run_mode(ac, sw)});

@@ -21,6 +21,7 @@ Flags::Flags(int argc, char** argv, int start) {
       // Boolean-style flags may appear without a value when followed by
       // another flag or the end of the line.
       value = "true";
+      bare_.insert(name);
     } else {
       value = argv[++i];
     }

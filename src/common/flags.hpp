@@ -4,6 +4,7 @@
 #pragma once
 
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,6 +18,9 @@ class Flags {
   Flags(int argc, char** argv, int start = 1);
 
   bool has(const std::string& name) const { return values_.count(name) > 0; }
+  /// True when the flag stood bare (no value followed it), so it reads as
+  /// "true": a switch may, a flag that takes text may not.
+  bool bare(const std::string& name) const { return bare_.count(name) > 0; }
 
   /// Typed getters return `fallback` when the flag is absent and throw
   /// std::invalid_argument on a value that is not wholly of their type
@@ -36,6 +40,7 @@ class Flags {
 
  private:
   std::map<std::string, std::string> values_;
+  std::set<std::string> bare_;
   std::vector<std::string> positionals_;
 };
 

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "common/check.hpp"
 #include "data/loader.hpp"
 #include "fl/flat_utils.hpp"
 #include "obs/trace.hpp"
@@ -297,7 +296,8 @@ fl::BufferedUpdate SpatlAlgorithm::park_conversion(
 }
 
 void SpatlAlgorithm::combine(std::vector<fl::Contribution>& accepted,
-                             const std::vector<float>& base) {
+                             const std::vector<float>& base,
+                             fl::RobustRule* robust) {
   const std::size_t shared_dim = base.size();
   const std::size_t enc_dim = server_control_.size();
   // One layout for every entry: compacted salient values in `values` (raw
@@ -315,7 +315,7 @@ void SpatlAlgorithm::combine(std::vector<fl::Contribution>& accepted,
   std::vector<float> w_new = base;
   auto global_shared = shared_views(global_, options_.transfer_learning);
 
-  if (robust_active()) {
+  if (robust != nullptr) {
     // Robust masked aggregation: per-coordinate statistics run over the
     // clients that transmitted each coordinate; Krum scores pairs on their
     // shared support. The center replaces eq. 12's per-coordinate mean.
@@ -330,7 +330,7 @@ void SpatlAlgorithm::combine(std::vector<fl::Contribution>& accepted,
       }
       ups[s] = {up.client, 1.0, &up.values, &up.mask};
     }
-    const auto outcome = robust_combine(ups, shared_dim, nullptr);
+    const auto outcome = robust->aggregate(ups, shared_dim, nullptr);
     for (std::size_t j = 0; j < shared_dim; ++j) {
       if (outcome.defined[j]) {
         w_new[j] += float(options_.server_lr * double(outcome.value[j]));
@@ -355,10 +355,7 @@ void SpatlAlgorithm::combine(std::vector<fl::Contribution>& accepted,
       for (std::size_t j = 0; j < enc_dim; ++j) c_count[j] += cmasks[s][j];
     }
     if (dc_ups.empty()) return;
-    const auto dc_out = robust_->aggregate(dc_ups, enc_dim, nullptr);
-    SPATL_DCHECK(dc_out.value.size() == enc_dim &&
-                 dc_out.defined.size() == enc_dim);
-    stats_.clipped += dc_out.clipped;
+    const auto dc_out = robust->companion(dc_ups, enc_dim);
     const double inv_n = 1.0 / double(env_.num_clients());
     for (std::size_t j = 0; j < enc_dim; ++j) {
       if (dc_out.defined[j]) {

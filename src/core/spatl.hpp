@@ -104,7 +104,7 @@ class SpatlAlgorithm : public fl::FederatedAlgorithm {
   fl::BufferedUpdate park_conversion(fl::Contribution update,
                                      const std::vector<float>& base) override;
   void combine(std::vector<fl::Contribution>& accepted,
-               const std::vector<float>& base) override;
+               const std::vector<float>& base, fl::RobustRule* robust) override;
   /// SPATL deploys heterogeneous models: evaluation uses each client's own
   /// predictor and BN statistics with the current global encoder.
   models::SplitModel& deployed_model(std::size_t client) override;

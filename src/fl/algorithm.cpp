@@ -1,6 +1,7 @@
 #include "fl/algorithm.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "common/check.hpp"
@@ -25,128 +26,100 @@ void FederatedAlgorithm::load_global_into_worker() {
   models::copy_full_state(global_, worker_);
 }
 
-void FederatedAlgorithm::set_fault_injection(const FaultModel* fault,
-                                             const ResilienceConfig& resilience) {
-  fault_ = fault;
-  resilience_ = resilience;
-  robust_ = make_robust_aggregator(resilience_);
-}
-
-void FederatedAlgorithm::set_async(const AsyncConfig& async) {
-  async_ = async;
-}
-
-void FederatedAlgorithm::clear_async() {
-  async_ = AsyncConfig{};
-  buffer_.clear();
-}
-
 std::size_t FederatedAlgorithm::uplink_cost_floats() {
   // Dense parameter vector — what FedAvg/FedProx actually pay per uplink.
   // Control-carrying algorithms override with their 2x factor.
   return nn::param_count(global_.all_params());
 }
 
-bool FederatedAlgorithm::async_active() const {
-  return async_.enabled && fault_ != nullptr &&
-         fault_->enabled() && fault_->config().round_deadline > 0.0;
+std::size_t FederatedAlgorithm::drop_parked() {
+  const std::size_t parked = buffer_.size();
+  buffer_.clear();
+  return parked;
 }
 
-void FederatedAlgorithm::park_update(std::size_t client, const Delivery& d,
-                                     BufferedUpdate update) {
-  SPATL_DCHECK(d.deferred && d.lag >= 1);
-  update.client = client;
-  update.source_round = fault_round_;
-  update.commit_round = fault_round_ + d.lag;
-  const std::size_t evicted = buffer_.park(std::move(update));
-  ++stats_.parked;
-  stats_.dedup_dropped += evicted;
-  stats_.buffer_depth = buffer_.size();
-  auto& registry = obs::MetricsRegistry::instance();
-  registry.gauge("async.buffer_depth").set(double(buffer_.size()));
-  registry.histogram("async.lag", {1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 16.0})
-      .record(double(d.lag));
-}
-
-std::vector<BufferedUpdate> FederatedAlgorithm::take_due_updates() {
-  if (!async_active() || buffer_.empty()) return {};
-  SPATL_TRACE_SPAN("fl/buffer");
-  std::vector<BufferedUpdate> due = buffer_.take_due(fault_round_);
-  stats_.late_commits += due.size();
-  stats_.buffer_depth = buffer_.size();
-  if (!due.empty()) {
-    obs::MetricsRegistry::instance().gauge("async.buffer_depth").set(
-        double(buffer_.size()));
-  }
-  return due;
-}
-
-double FederatedAlgorithm::commit_scale(const BufferedUpdate& update) const {
-  SPATL_DCHECK(fault_round_ >= update.source_round);
-  return staleness_scale(async_.stale_weight,
-                         fault_round_ - update.source_round);
-}
-
-bool FederatedAlgorithm::robust_active() const {
-  return robust_ != nullptr &&
-         resilience_.aggregator != AggregatorKind::kWeightedMean;
-}
-
-AggregateOutcome FederatedAlgorithm::robust_combine(
-    const std::vector<RobustUpdate>& updates, std::size_t dim,
-    const std::vector<float>* reference) {
-  SPATL_DCHECK(robust_ != nullptr);
-  AggregateOutcome out = robust_->aggregate(updates, dim, reference);
+AggregateOutcome RobustRule::aggregate(const std::vector<RobustUpdate>& updates,
+                                       std::size_t dim,
+                                       const std::vector<float>* reference) {
+  AggregateOutcome out = aggregator_->aggregate(updates, dim, reference);
   SPATL_DCHECK(out.value.size() == dim && out.defined.size() == dim);
   for (const std::size_t c : out.excluded) stats_.suspects.push_back(c);
   stats_.clipped += out.clipped;
   return out;
 }
 
-void FederatedAlgorithm::begin_round(std::size_t round, RoundStats admission) {
-  fault_round_ = round;
-  stats_ = admission;
+AggregateOutcome RobustRule::companion(const std::vector<RobustUpdate>& updates,
+                                       std::size_t dim) {
+  AggregateOutcome out = aggregator_->aggregate(updates, dim, nullptr);
+  SPATL_DCHECK(out.value.size() == dim && out.defined.size() == dim);
+  stats_.clipped += out.clipped;
+  return out;
 }
 
-FederatedAlgorithm::Delivery FederatedAlgorithm::deliver_update(
-    std::size_t client, std::vector<float>& payload, double wire_bytes,
-    const std::vector<float>* reference) {
+namespace {
+
+/// Outcome of one client's simulated uplink + server-side vetting: the
+/// update is aggregated this round when neither rejected nor deferred.
+struct Delivery {
+  RejectReason reason = RejectReason::kNone;  // kNone: not rejected
+  /// Semi-async path: the update passed vetting but the client's virtual
+  /// compute time runs past this round's deadline — run_round parks it in
+  /// the straggler buffer to commit `lag` rounds later. 0: not deferred.
+  std::size_t lag = 0;
+  double scale = 1.0;  // aggregation down-weight (stale stragglers)
+};
+
+/// True when the semi-async buffer governs this round's stragglers: async
+/// is set and the fault model has a live deadline.
+bool buffers_stragglers(const RoundPolicy& policy) {
+  return policy.async != nullptr && policy.fault != nullptr &&
+         policy.fault->config().round_deadline > 0.0;
+}
+
+/// Simulate the uplink of `up`'s payload (metered as its wire bytes): pay
+/// the first attempt, inject message loss with bounded retry (retransmitted
+/// bytes go through CommLedger's retransmission counters), maybe corrupt the
+/// payload in flight, then apply the server's defenses — NaN/Inf
+/// validation, optional L2 norm bound of (payload - reference), and the
+/// straggler staleness policy. Counts the outcome into `stats`.
+Delivery deliver(const RoundPolicy& policy, RoundStats& stats,
+                 CommLedger& ledger, ClientUpload& up) {
   SPATL_TRACE_SPAN("fl/uplink");
+  const std::size_t client = up.update.client;
+  std::vector<float>& payload = up.update.values;
+  const FaultModel* fault = policy.fault;
+  const ResilienceConfig& rule = policy.rule;
   Delivery d;
   double backoff_wait = 0.0;
-  ledger_.add_uplink_bytes(wire_bytes);
-  if (fault_ != nullptr && fault_->enabled()) {
+  ledger.add_uplink_bytes(up.wire_bytes);
+  if (fault != nullptr) {
     // Byzantine clients craft their payload before it leaves the device —
     // a lost or rejected attack still counts as an attack attempt.
-    if (fault_->attack(fault_round_, client, payload, reference)) {
-      stats_.attackers.push_back(client);
+    if (fault->attack(policy.round, client, payload, up.reference)) {
+      stats.attackers.push_back(client);
     }
-    const Transmission t =
-        fault_->transmit(fault_round_, client, resilience_.retry);
+    const Transmission t = fault->transmit(policy.round, client, rule.retry);
     if (t.attempts > 1) {
-      ledger_.add_uplink_retransmit_bytes(wire_bytes *
-                                          double(t.attempts - 1));
-      stats_.retransmissions += t.attempts - 1;
+      ledger.add_uplink_retransmit_bytes(up.wire_bytes *
+                                         double(t.attempts - 1));
+      stats.retransmissions += t.attempts - 1;
     }
     backoff_wait = t.backoff_wait;
-    stats_.backoff_wait += t.backoff_wait;
+    stats.backoff_wait += t.backoff_wait;
     if (!t.delivered) {
       // Retry budget exhausted: the client gives up on this round's uplink.
-      d.accepted = false;
       d.reason = RejectReason::kLost;
-      stats_.add(d.reason);
-      stats_.rejected_clients.push_back(client);
-      stats_.giveups.push_back(client);
+      stats.reject(d.reason, client);
       return d;
     }
-    fault_->corrupt(fault_round_, client, payload);
+    fault->corrupt(policy.round, client, payload);
   }
-  ++stats_.delivered;
+  ++stats.delivered;
 
-  if (resilience_.validate_updates && !is_finite(payload)) {
-    d.accepted = false;
+  const std::vector<float>* reference = up.reference;
+  if (rule.validate_updates && !is_finite(payload)) {
     d.reason = RejectReason::kNonFinite;
-  } else if (resilience_.max_update_norm > 0.0) {
+  } else if (rule.max_update_norm > 0.0) {
     double sum = 0.0;
     if (reference != nullptr && reference->size() == payload.size()) {
       for (std::size_t j = 0; j < payload.size(); ++j) {
@@ -156,65 +129,61 @@ FederatedAlgorithm::Delivery FederatedAlgorithm::deliver_update(
     } else {
       for (const float x : payload) sum += double(x) * double(x);
     }
-    if (sum > resilience_.max_update_norm * resilience_.max_update_norm) {
-      d.accepted = false;
+    if (sum > rule.max_update_norm * rule.max_update_norm) {
       d.reason = RejectReason::kNormBound;
     }
   }
-  if (d.accepted && fault_ != nullptr && fault_->enabled()) {
-    const ClientFault cf = fault_->assess(fault_round_, client);
+  if (d.reason == RejectReason::kNone && fault != nullptr) {
+    const ClientFault cf = fault->assess(policy.round, client);
+    const double deadline = fault->config().round_deadline;
     // Backoff waits spend the same virtual clock as local compute: a retry
     // storm can push an otherwise-punctual client past the round deadline.
     // Zero with backoff disabled, so the legacy straggler set is unchanged.
     const double finish_time = cf.compute_time + backoff_wait;
     const bool late = cf.fate == ClientFate::kStraggler ||
-                      (fault_->config().round_deadline > 0.0 &&
-                       finish_time > fault_->config().round_deadline);
+                      (deadline > 0.0 && finish_time > deadline);
     if (late) {
       // Straggler policy, in order of preference: park for a late commit
       // (semi-async), down-weight in the same round (synchronous,
       // stale_weight > 0), reject (kDeadline) only when neither applies —
       // the contract RejectReason::kDeadline documents.
-      if (async_active()) {
-        const std::size_t lag =
-            straggler_lag(finish_time, fault_->config().round_deadline);
-        if (lag <= async_.max_lag) {
-          d.accepted = false;
-          d.deferred = true;
+      if (buffers_stragglers(policy)) {
+        const std::size_t lag = straggler_lag(finish_time, deadline);
+        if (lag <= policy.async->max_lag) {
           d.lag = lag;
-          return d;  // caller parks the payload; accounted by park_update()
+          return d;  // run_round parks the payload and counts it
         }
-        d.accepted = false;
         d.reason = RejectReason::kDeadline;  // beyond the lag budget
-      } else if (resilience_.stale_weight > 0.0) {
-        d.scale = resilience_.stale_weight;
+      } else if (rule.stale_weight > 0.0) {
+        d.scale = rule.stale_weight;
       } else {
-        d.accepted = false;
         d.reason = RejectReason::kDeadline;
       }
     }
   }
-  if (d.accepted && churn_ != nullptr) {
+  if (d.reason == RejectReason::kNone && policy.churn != nullptr) {
     // A returning client's first accepted uplink is discounted by its
     // absence through the straggler buffer's staleness arithmetic: the
     // update was trained from a freshly-downloaded model, but the client's
     // local state (optimizer statistics, BN history, SPATL agent) aged
     // while it was away, so its contribution earns back trust gradually.
-    const std::size_t absence = churn_->pending_staleness(client);
+    ChurnEngine& churn = *policy.churn;
+    const std::size_t absence = churn.pending_staleness(client);
     if (absence > 0) {
-      d.scale *= staleness_scale(churn_->return_stale_weight(), absence);
-      ++stats_.returning_discounted;
-      churn_->clear_pending(client);
+      d.scale *= staleness_scale(churn.return_stale_weight(), absence);
+      ++stats.returning_discounted;
+      churn.clear_pending(client);
     }
   }
-  if (d.accepted) {
-    ++stats_.accepted;
+  if (d.reason == RejectReason::kNone) {
+    ++stats.accepted;
   } else {
-    stats_.add(d.reason);
-    stats_.rejected_clients.push_back(client);
+    stats.reject(d.reason, client);
   }
   return d;
 }
+
+}  // namespace
 
 void FederatedAlgorithm::save_state(RunCheckpoint& out) {
   StateArchive ar = StateArchive::save_to(out);
@@ -232,16 +201,6 @@ void FederatedAlgorithm::state(StateArchive& ar) {
   // Parked straggler updates travel with the model so a resumed run replays
   // the same late commits.
   buffer_.state(ar, "algo/async/");
-}
-
-bool FederatedAlgorithm::quorum_met(std::size_t accepted_count) {
-  const std::size_t quorum = std::max<std::size_t>(1, resilience_.min_quorum);
-  if (accepted_count >= quorum) return true;
-  // Post-validation re-check: enough clients were admitted, but validation
-  // (or loss / deadline policy) thinned the survivor set below quorum.
-  stats_.skipped = true;
-  stats_.skip_reason = SkipReason::kPostValidationQuorum;
-  return false;
 }
 
 models::SplitModel& FederatedAlgorithm::deployed_model(std::size_t client) {
@@ -273,37 +232,70 @@ std::vector<double> FederatedAlgorithm::per_client_accuracy() {
 
 // ------------------------------------------------ client-round skeleton ----
 
-void FederatedAlgorithm::run_round(const std::vector<std::size_t>& selected) {
+RoundStats FederatedAlgorithm::run_round(
+    const std::vector<std::size_t>& selected, const RoundPolicy& policy) {
+  RoundStats stats = policy.admission;
+  auto& registry = obs::MetricsRegistry::instance();
   const std::vector<float> base = open_round();
   std::vector<Contribution> accepted;
   accepted.reserve(selected.size());
 
   // Late commits merge first, in the buffer's deterministic order, with the
-  // commit-time staleness discount; they count toward the quorum like any
-  // other survivor.
-  for (auto& b : take_due_updates()) {
-    const double scale = commit_scale(b);
-    accepted.push_back({std::move(b), scale, /*late=*/true});
+  // commit-time staleness discount stale_weight^(round - source round);
+  // they count toward the quorum like any other survivor.
+  if (buffers_stragglers(policy) && !buffer_.empty()) {
+    SPATL_TRACE_SPAN("fl/buffer");
+    std::vector<BufferedUpdate> due = buffer_.take_due(policy.round);
+    stats.late_commits += due.size();
+    stats.buffer_depth = buffer_.size();
+    if (!due.empty()) {
+      registry.gauge("async.buffer_depth").set(double(buffer_.size()));
+    }
+    for (auto& b : due) {
+      SPATL_DCHECK(policy.round >= b.source_round);
+      const double scale = staleness_scale(policy.async->stale_weight,
+                                           policy.round - b.source_round);
+      accepted.push_back({std::move(b), scale, /*late=*/true});
+    }
   }
 
   for (const std::size_t i : selected) {
     ClientUpload up = train_client(i, base);
     up.update.client = i;
-    const Delivery d =
-        deliver_update(i, up.update.values, up.wire_bytes, up.reference);
-    if (d.deferred) {
+    const Delivery d = deliver(policy, stats, ledger_, up);
+    if (d.lag > 0) {
       // Validated but past the deadline: the update waits in the straggler
       // buffer for its commit round.
-      park_update(i, d, park_conversion(std::move(up.update), base));
+      BufferedUpdate parked = park_conversion(std::move(up.update), base);
+      parked.source_round = policy.round;
+      parked.commit_round = policy.round + d.lag;
+      stats.dedup_dropped += buffer_.park(std::move(parked));
+      ++stats.parked;
+      stats.buffer_depth = buffer_.size();
+      registry.gauge("async.buffer_depth").set(double(buffer_.size()));
+      registry.histogram("async.lag", {1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 16.0})
+          .record(double(d.lag));
       continue;
     }
-    if (!d.accepted) continue;
+    if (d.reason != RejectReason::kNone) continue;
     up.update.scale = d.scale;
     accepted.push_back(std::move(up.update));
   }
-  if (!quorum_met(accepted.size())) return;
+  // Post-validation quorum: enough clients were admitted, but validation
+  // (or loss / deadline policy) may have thinned the survivor set below it;
+  // the round is then skipped with the global model untouched.
+  if (accepted.size() < std::max<std::size_t>(1, policy.rule.min_quorum)) {
+    stats.skipped = true;
+    stats.skip_reason = SkipReason::kPostValidationQuorum;
+    return stats;
+  }
   SPATL_TRACE_SPAN("fl/aggregate");
-  combine(accepted, base);
+  std::optional<RobustRule> robust;
+  if (policy.rule.aggregator != AggregatorKind::kWeightedMean) {
+    robust.emplace(policy.rule, stats);
+  }
+  combine(accepted, base, robust ? &*robust : nullptr);
+  return stats;
 }
 
 std::vector<float> FederatedAlgorithm::open_round() {
@@ -380,17 +372,18 @@ std::vector<float> FederatedAlgorithm::robust_bn_mean(
 // -------------------------------------------------------------- FedAvg ----
 
 void FederatedAlgorithm::combine(std::vector<Contribution>& accepted,
-                                 const std::vector<float>& base) {
+                                 const std::vector<float>& base,
+                                 RobustRule* robust) {
   auto views = global_.all_params();
   const auto weights = accepted_weights(accepted);
-  if (robust_active()) {
+  if (robust != nullptr) {
     // Robust center of the delivered weight vectors themselves (FedAvg
     // aggregates in absolute weight space).
     std::vector<RobustUpdate> ups(accepted.size());
     for (std::size_t s = 0; s < accepted.size(); ++s) {
       ups[s] = {accepted[s].client, weights[s], &accepted[s].values, nullptr};
     }
-    const auto outcome = robust_combine(ups, base.size(), &base);
+    const auto outcome = robust->aggregate(ups, base.size(), &base);
     std::vector<float> w_new = base;
     for (std::size_t j = 0; j < w_new.size(); ++j) {
       if (outcome.defined[j]) w_new[j] = outcome.value[j];
@@ -439,10 +432,10 @@ BufferedUpdate FedNova::park_conversion(Contribution update,
 }
 
 void FedNova::combine(std::vector<Contribution>& accepted,
-                      const std::vector<float>& base) {
+                      const std::vector<float>& base, RobustRule* robust) {
   auto views = global_.all_params();
   const auto weights = accepted_weights(accepted);
-  if (robust_active()) {
+  if (robust != nullptr) {
     // Robust center of the normalized updates; tau_eff is renormalized over
     // the clients the aggregator kept, so an excluded client contributes
     // neither direction nor step size.
@@ -452,7 +445,7 @@ void FedNova::combine(std::vector<Contribution>& accepted,
       if (!up.late) normalize_update(up.values, base, up.tau);
       ups[s] = {up.client, weights[s], &up.values, nullptr};
     }
-    const auto outcome = robust_combine(ups, base.size(), nullptr);
+    const auto outcome = robust->aggregate(ups, base.size(), nullptr);
     double tau_eff_r = 0.0;
     double kept = 0.0;
     for (std::size_t s = 0; s < accepted.size(); ++s) {
@@ -543,10 +536,10 @@ BufferedUpdate Scaffold::park_conversion(Contribution update,
 }
 
 void Scaffold::combine(std::vector<Contribution>& accepted,
-                       const std::vector<float>& base) {
+                       const std::vector<float>& base, RobustRule* robust) {
   auto views = global_.all_params();
   const std::size_t dim = base.size();
-  if (robust_active()) {
+  if (robust != nullptr) {
     // Robustify both server aggregates. The displacement dw is what an
     // attacker poisons directly; the control-variate delta dc is derived
     // from the same delivered weights, so a poisoned update would otherwise
@@ -561,7 +554,7 @@ void Scaffold::combine(std::vector<Contribution>& accepted,
       for (float& v : up.values) v = float(up.scale) * v;
       dw_ups[s] = {up.client, 1.0, &up.values, nullptr};
     }
-    const auto dw_out = robust_combine(dw_ups, dim, nullptr);
+    const auto dw_out = robust->aggregate(dw_ups, dim, nullptr);
 
     std::vector<RobustUpdate> dc_ups;
     std::vector<double> bn_weights(accepted.size(), 1.0);
@@ -574,8 +567,7 @@ void Scaffold::combine(std::vector<Contribution>& accepted,
       for (std::size_t j = 0; j < dim; ++j) c_i[j] += up.aux[j];
       ++kept;
     }
-    const auto dc_out = robust_->aggregate(dc_ups, dim, nullptr);
-    stats_.clipped += dc_out.clipped;
+    const auto dc_out = robust->companion(dc_ups, dim);
 
     std::vector<float> w_new = base;
     for (std::size_t j = 0; j < dim; ++j) {

@@ -1,15 +1,17 @@
 // Federated optimization algorithms on one client-round skeleton.
 //
-// FederatedAlgorithm::run_round is the only round loop (DESIGN.md §8.1):
-// late commits due this round are drained first, then every selected client
-// is trained, its payload delivered (where an installed FaultModel may
-// corrupt or lose it and the server's ResilienceConfig vets it) and either
-// parked for a late commit or accepted; a quorum gate over the accepted
-// list precedes the combine step. Algorithms override only the hooks they
-// differ in: the local gradient hook, the payload and park conversions, and
-// the server combine/step. A clean run takes this same path with no fault
-// model and the default ResilienceConfig: nothing is injected, and only a
-// non-finite update is turned away.
+// FederatedAlgorithm::run_round is the only round loop (DESIGN.md §8.1). It
+// is handed the round's RoundPolicy — the runner's fault model, defences,
+// async settings and churn engine, borrowed for the one call — and returns
+// the round's RoundStats. Late commits due this round are drained first,
+// then every selected client is trained, its payload delivered (where the
+// policy's FaultModel may corrupt or lose it and its ResilienceConfig vets
+// it) and either parked for a late commit or accepted; a quorum gate over
+// the accepted list precedes the combine step. Algorithms override only the
+// hooks they differ in: the local gradient hook, the payload and park
+// conversions, and the server combine/step. A clean round is the default
+// policy: no fault model and the default ResilienceConfig, so nothing is
+// injected and only a non-finite update is turned away.
 //
 // Per-round communication is metered through CommLedger; SCAFFOLD and
 // FedNova pay the ~2x per-round cost the paper reports because their
@@ -58,6 +60,45 @@ struct ClientUpload {
   const std::vector<float>* reference = nullptr;
 };
 
+/// The runner's policy for one round, handed to run_round (DESIGN.md §8.1):
+/// everything the round reads that the algorithm does not own. The pointers
+/// are borrowed for the one call. The default is a clean synchronous round
+/// over a static population.
+struct RoundPolicy {
+  std::size_t round = 0;  // keys fault decisions and straggler-buffer rounds
+  RoundStats admission;   // the runner's admission counts; seeds the stats
+  const FaultModel* fault = nullptr;  // null: nothing is injected
+  /// The server's defences and its aggregation rule for this round.
+  ResilienceConfig rule;
+  /// Semi-async straggler commit (DESIGN.md §11); null: stragglers are
+  /// down-weighted or rejected within the round.
+  const AsyncConfig* async = nullptr;
+  ChurnEngine* churn = nullptr;  // null: static population
+};
+
+/// The round's robust aggregation rule as combine() applies it. combine()
+/// gets none under kWeightedMean, whose arithmetic each algorithm fuses
+/// into its own loop.
+class RobustRule {
+ public:
+  RobustRule(const ResilienceConfig& rule, RoundStats& stats)
+      : aggregator_(make_robust_aggregator(rule)), stats_(stats) {}
+  /// The rule's center of `updates` (`dim` long); the clients it excluded
+  /// join the round's suspects and its clips the round's clip count.
+  /// `reference` centers norm clipping (may be null).
+  AggregateOutcome aggregate(const std::vector<RobustUpdate>& updates,
+                             std::size_t dim,
+                             const std::vector<float>* reference);
+  /// The center of a companion vector (control deltas) of the clients
+  /// aggregate() kept: only its clips count.
+  AggregateOutcome companion(const std::vector<RobustUpdate>& updates,
+                             std::size_t dim);
+
+ private:
+  std::unique_ptr<RobustAggregator> aggregator_;
+  RoundStats& stats_;
+};
+
 struct EvalSummary {
   double avg_accuracy = 0.0;  // mean top-1 over clients' validation sets
   double avg_loss = 0.0;
@@ -76,8 +117,11 @@ class FederatedAlgorithm {
 
   virtual std::string name() const = 0;
 
-  /// One communication round over the given participating clients.
-  virtual void run_round(const std::vector<std::size_t>& selected);
+  /// One communication round over the given participating clients under
+  /// `policy`; returns the round's statistics, seeded with
+  /// policy.admission.
+  virtual RoundStats run_round(const std::vector<std::size_t>& selected,
+                               const RoundPolicy& policy = RoundPolicy());
 
   /// Average validation accuracy of the deployed model across ALL clients
   /// (the paper evaluates heterogeneous per-client performance; for the
@@ -94,33 +138,14 @@ class FederatedAlgorithm {
   const FlConfig& config() const { return config_; }
   models::SplitModel& global_model() { return global_; }
 
-  /// Install the fault model and the server-side defenses for subsequent
-  /// rounds (runner-managed). `fault` may be nullptr to run the defenses
-  /// without any injection; (nullptr, ResilienceConfig{}) is the state a
-  /// fresh algorithm starts in and the runner leaves behind.
-  void set_fault_injection(const FaultModel* fault,
-                           const ResilienceConfig& resilience);
-
-  /// Install the semi-asynchronous straggler policy (runner-managed): past-
-  /// deadline clients are parked in the straggler buffer and commit late
-  /// with a staleness discount instead of being same-round down-weighted or
-  /// rejected (DESIGN.md §11).
-  void set_async(const AsyncConfig& async);
-  void clear_async();
-  const AsyncConfig& async_config() const { return async_; }
   /// Parked updates that would commit at `round` (quorum admission input).
   std::size_t buffered_due(std::size_t round) const {
     return buffer_.due_count(round);
   }
   /// Current straggler-buffer occupancy.
   std::size_t buffered_total() const { return buffer_.size(); }
-
-  /// Install the elastic-membership engine (runner-managed): a returning
-  /// client's first accepted uplink is staleness-discounted through the
-  /// StragglerBuffer's scale arithmetic. Null = static population,
-  /// bit-identical to the legacy path.
-  void set_churn(ChurnEngine* churn) { churn_ = churn; }
-  void clear_churn() { churn_ = nullptr; }
+  /// Drop every parked update, as a run ends; returns how many there were.
+  std::size_t drop_parked();
 
   /// Estimated per-client uplink payload in float32 units, used by the
   /// runner's admission byte budget: the dense parameter vector by default,
@@ -128,12 +153,6 @@ class FederatedAlgorithm {
   /// dense shared encoder (x2 under gradient control) for SPATL — a
   /// conservative bound on its masked payload.
   virtual std::size_t uplink_cost_floats();
-
-  /// Reset per-round statistics, seed them with the runner's admission
-  /// counts, and set the round index that keys fault decisions. Called by
-  /// the runner before run_round().
-  void begin_round(std::size_t round, RoundStats admission = RoundStats{});
-  const RoundStats& round_stats() const { return stats_; }
 
   /// Capture / restore the algorithm's complete mutable state for
   /// crash-recoverable rounds: state() in one direction or the other.
@@ -167,10 +186,11 @@ class FederatedAlgorithm {
     return update;
   }
   /// Apply the round from the accepted list (late commits first, then
-  /// fresh uploads in selection order). Default: FedAvg's sample-weighted
-  /// mean of absolute weights and BN statistics.
+  /// fresh uploads in selection order). `robust` is the round's robust rule,
+  /// null under kWeightedMean. Default: FedAvg's sample-weighted mean of
+  /// absolute weights and BN statistics.
   virtual void combine(std::vector<Contribution>& accepted,
-                       const std::vector<float>& base);
+                       const std::vector<float>& base, RobustRule* robust);
 
   /// Client `client`'s deployed model, ready to evaluate; an evaluation pass
   /// asks for clients 0..n-1 in order. Default: the worker holding the
@@ -179,12 +199,6 @@ class FederatedAlgorithm {
 
   /// Load global weights + BN stats into the worker model.
   void load_global_into_worker();
-
-  /// True when a non-default robust aggregator is configured. The
-  /// kWeightedMean default keeps each algorithm's original fused
-  /// aggregation loop (bit-identical to the clean-world path); any other
-  /// kind routes per-client update vectors through robust_combine().
-  bool robust_active() const;
 
   /// Aggregation weights over the accepted list: sample count times
   /// staleness scale, normalized (classic FedAvg weighting when everyone
@@ -198,80 +212,13 @@ class FederatedAlgorithm {
       const std::vector<double>& weights,
       const std::vector<std::size_t>& excluded);
 
-  /// Run the configured robust aggregator over materialized per-client
-  /// update vectors and fold the outcome (suspects, clip count) into the
-  /// round statistics. `dim` is the per-update vector length; `reference`
-  /// is the center used by norm-clipping (may be null).
-  AggregateOutcome robust_combine(const std::vector<RobustUpdate>& updates,
-                                  std::size_t dim,
-                                  const std::vector<float>* reference);
-
- private:
-  // ---- run_round's delivery and straggler-buffer machinery ----
-
-  /// Outcome of one client's simulated uplink + server-side vetting.
-  struct Delivery {
-    bool accepted = true;
-    /// Semi-async path: the update passed vetting but the client's virtual
-    /// compute time runs past this round's deadline — the caller must park
-    /// it via park_update() for the commit round instead of aggregating.
-    bool deferred = false;
-    std::size_t lag = 0;  // rounds until the deferred update commits
-    double scale = 1.0;   // aggregation down-weight (stale stragglers)
-    RejectReason reason = RejectReason::kNone;
-  };
-
-  /// Simulate the uplink of `payload` (metered as `wire_bytes`): pay the
-  /// first attempt, inject message loss with bounded retry
-  /// (retransmitted bytes go through CommLedger's retransmission counters),
-  /// maybe corrupt the payload in flight, then apply the server's defenses —
-  /// NaN/Inf validation, optional L2 norm bound of (payload - reference),
-  /// and the straggler staleness policy. Updates round_stats().
-  Delivery deliver_update(std::size_t client, std::vector<float>& payload,
-                          double wire_bytes,
-                          const std::vector<float>* reference);
-
-  /// Aggregation-time quorum gate over the post-validation survivor set
-  /// (fresh accepted updates plus this round's late commits): true when
-  /// `accepted_count` updates are enough to apply the round; otherwise
-  /// records the round as skipped with post-validation attribution (the
-  /// caller must leave the global model untouched).
-  bool quorum_met(std::size_t accepted_count);
-
-  /// True when the semi-async buffer governs this round's stragglers
-  /// (async installed + a fault model with a live deadline).
-  bool async_active() const;
-
-  /// Park a deferred update (Delivery::deferred) for its commit round; the
-  /// client id and source/commit rounds are filled in here. The caller
-  /// provides the algorithm-specific payload fields of `update`.
-  void park_update(std::size_t client, const Delivery& d,
-                   BufferedUpdate update);
-
-  /// Pop the buffered updates committing this round, in the buffer's
-  /// deterministic order. Updates stats and async metrics.
-  std::vector<BufferedUpdate> take_due_updates();
-
-  /// Staleness discount for a buffered update committing this round:
-  /// stale_weight^(current round - source round).
-  double commit_scale(const BufferedUpdate& update) const;
-
- protected:
   FlEnvironment& env_;       // ckpt: none(borrowed substrate, rebuilt by the caller)
   FlConfig config_;          // ckpt: none(configuration, rebuilt from flags/seed)
   common::Rng rng_;          // ckpt: none(consumed at construction for weight init only)
   CommLedger ledger_;        // ckpt: run/ledger
   models::SplitModel global_;  // ckpt: algo/w, algo/bn
   models::SplitModel worker_;  // ckpt: none(scratch, reloaded from global_ every round)
-
-  const FaultModel* fault_ = nullptr;  // ckpt: none(borrowed; re-armed via set_fault_injection)
-  ChurnEngine* churn_ = nullptr;       // ckpt: none(borrowed; persists itself under run/churn/)
-  ResilienceConfig resilience_;        // ckpt: none(configuration)
-  std::unique_ptr<RobustAggregator> robust_;  // ckpt: none(derived from resilience_)
-  RoundStats stats_;                   // ckpt: none(per-round scratch)
-  std::size_t fault_round_ = 0;        // ckpt: none(set by begin_round each round)
-  AsyncConfig async_;        // ckpt: none(configuration, synchronous by default)
-  StragglerBuffer buffer_;   // ckpt: algo/async/
+  StragglerBuffer buffer_;     // ckpt: algo/async/
 };
 
 // ---------------------------------------------------------------------------
@@ -309,7 +256,7 @@ class FedNova : public FederatedAlgorithm {
   BufferedUpdate park_conversion(Contribution update,
                                  const std::vector<float>& base) override;
   void combine(std::vector<Contribution>& accepted,
-               const std::vector<float>& base) override;
+               const std::vector<float>& base, RobustRule* robust) override;
 };
 
 // ckpt-struct: algo/scaffold/
@@ -331,7 +278,7 @@ class Scaffold : public FederatedAlgorithm {
   BufferedUpdate park_conversion(Contribution update,
                                  const std::vector<float>& base) override;
   void combine(std::vector<Contribution>& accepted,
-               const std::vector<float>& base) override;
+               const std::vector<float>& base, RobustRule* robust) override;
   /// Fresh weights -> (values = dw = w_i - w_base, aux = dc), in place.
   void to_deltas(Contribution& update, const std::vector<float>& base) const;
 

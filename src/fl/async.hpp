@@ -12,9 +12,11 @@
 // Everything here runs on simulated time only — the fault model's
 // deterministic `compute_time` draws — never the host clock, so buffered
 // runs stay bit-identical across machines and re-runs (`tools/spatl_lint`
-// bans wall-clock reads in this file). The whole subsystem is opt-in:
-// without an AsyncConfig installed, no algorithm touches this code and the
-// synchronous arithmetic is unchanged float for float.
+// bans wall-clock reads in this file). The whole subsystem is opt-in, with
+// one off-switch: async is on exactly when RunOptions::async is set, and the
+// runner then hands the settings to each round (fl::RoundPolicy). Without
+// them no algorithm touches this code and the synchronous arithmetic is
+// unchanged float for float.
 #pragma once
 
 #include <cstddef>
@@ -28,9 +30,8 @@
 
 namespace spatl::fl {
 
-/// Semi-asynchronous aggregation policy (runner-installed, off by default).
+/// Semi-asynchronous aggregation policy; present means on.
 struct AsyncConfig {
-  bool enabled = false;
   /// Per-round staleness discount: a commit arriving `lag` rounds late is
   /// weighted by stale_weight^lag. Must be in (0, 1] to contribute.
   double stale_weight = 0.5;

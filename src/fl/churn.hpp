@@ -16,7 +16,7 @@
 // uplink is discounted through the same staleness_scale() arithmetic the
 // semi-async straggler buffer uses (DESIGN.md §11).
 //
-// The whole subsystem is opt-in: with no ChurnConfig installed (or an empty
+// The whole subsystem is opt-in: with no ChurnConfig set (or an empty
 // trace — zero rates, full initial enrollment) the runner's sampling draws,
 // float arithmetic, and telemetry bytes are unchanged.
 #pragma once

@@ -141,17 +141,18 @@ ClientUpload CompressedFedAvg::train_client(std::size_t client,
 }
 
 void CompressedFedAvg::combine(std::vector<Contribution>& accepted,
-                               const std::vector<float>& base) {
+                               const std::vector<float>& base,
+                               RobustRule* robust) {
   std::vector<float> delta(base.size(), 0.0f);  // mean client delta
   std::vector<float> bn;
-  if (robust_active()) {
+  if (robust != nullptr) {
     std::vector<double> weights(accepted.size());
     std::vector<RobustUpdate> ups(accepted.size());
     for (std::size_t s = 0; s < accepted.size(); ++s) {
       weights[s] = accepted[s].scale;
       ups[s] = {accepted[s].client, weights[s], &accepted[s].values, nullptr};
     }
-    const auto outcome = robust_combine(ups, base.size(), nullptr);
+    const auto outcome = robust->aggregate(ups, base.size(), nullptr);
     for (std::size_t j = 0; j < delta.size(); ++j) {
       if (outcome.defined[j]) delta[j] = outcome.value[j];
     }

@@ -68,7 +68,7 @@ class CompressedFedAvg : public FederatedAlgorithm {
   ClientUpload train_client(std::size_t client,
                             const std::vector<float>& base) override;
   void combine(std::vector<Contribution>& accepted,
-               const std::vector<float>& base) override;
+               const std::vector<float>& base, RobustRule* robust) override;
 
   Codec codec_;                  // ckpt: none(configuration)
   ServerOptimizer step_kind_;    // ckpt: none(configuration)

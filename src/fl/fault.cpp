@@ -107,7 +107,6 @@ FaultModel::FaultModel(FaultConfig config) : config_(std::move(config)) {
   check_rate(config_.loss_rate, "loss_rate");
   check_rate(config_.byzantine_fraction, "byzantine_fraction");
   for (const double a : config_.availability) check_rate(a, "availability");
-  enabled_ = config_.any_faults();
 }
 
 bool FaultModel::is_byzantine(std::size_t client) const {
@@ -181,8 +180,8 @@ ClientFault FaultModel::assess(std::size_t round, std::size_t client) const {
   if (slow) f.compute_time *= config_.slowdown_factor;
   // Classification only — kStraggler never rejects by itself. The policy
   // (same-round down-weight, semi-async late commit, or kDeadline when
-  // neither applies) is decided at delivery time from ResilienceConfig /
-  // AsyncConfig; see FederatedAlgorithm::deliver_update.
+  // neither applies) is decided at delivery time from the round's
+  // ResilienceConfig and AsyncConfig; see FederatedAlgorithm::run_round.
   if (config_.round_deadline > 0.0 &&
       f.compute_time > config_.round_deadline) {
     f.fate = ClientFate::kStraggler;
@@ -326,12 +325,13 @@ std::vector<std::string> FaultyStoreIo::list_dir(const std::string& dir) {
   return inner_->list_dir(dir);
 }
 
-void RoundStats::add(RejectReason reason) {
+void RoundStats::reject(RejectReason reason, std::size_t client) {
+  rejected_clients.push_back(client);
   switch (reason) {
     case RejectReason::kNone: break;
     case RejectReason::kNonFinite: ++rejected_non_finite; break;
     case RejectReason::kNormBound: ++rejected_norm; break;
-    case RejectReason::kLost: ++rejected_lost; break;
+    case RejectReason::kLost: giveups.push_back(client); break;
     case RejectReason::kDeadline: ++rejected_deadline; break;
   }
 }

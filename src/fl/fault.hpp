@@ -12,10 +12,11 @@
 // counters), stale-update down-weighting, and a participation quorum below
 // which the round is skipped with the global model untouched.
 //
-// Every run installs a ResilienceConfig; injection is opt-in. With no
-// FaultModel and the default config, a run's arithmetic and byte accounting
-// are those of a clean world, except that a non-finite update is rejected
-// instead of averaged in.
+// Every round runs under a ResilienceConfig; injection is opt-in. The runner
+// builds a FaultModel only when FaultConfig::any_faults() holds and hands it
+// to each round (fl::RoundPolicy). With no FaultModel and the default
+// config, a run's arithmetic and byte accounting are those of a clean world,
+// except that a non-finite update is rejected instead of averaged in.
 #pragma once
 
 #include <cstddef>
@@ -93,8 +94,8 @@ struct FaultConfig {
 
   std::uint64_t seed = 0x5EEDFA17ULL;
 
-  /// True if any injection is active (all-zero rates behave like the clean
-  /// path but still exercise the defended code).
+  /// True if any injection is active: the one off-switch, as the runner
+  /// builds no FaultModel from a config without faults.
   bool any_faults() const;
 };
 
@@ -167,8 +168,8 @@ struct ResilienceConfig {
   /// Synchronous staleness policy: aggregation weight multiplier for
   /// stragglers that miss the deadline; 0 rejects their updates outright
   /// (RejectReason::kDeadline). Superseded by AsyncConfig::stale_weight when
-  /// the semi-asynchronous buffer is installed (stragglers then commit late
-  /// instead of being down-weighted in the same round).
+  /// the round has async settings (stragglers then commit late instead of
+  /// being down-weighted in the same round).
   double stale_weight = 0.5;
 
   /// Byzantine-robust aggregation rule applied to the accepted updates.
@@ -219,7 +220,6 @@ class FaultModel {
   explicit FaultModel(FaultConfig config);
 
   const FaultConfig& config() const { return config_; }
-  bool enabled() const { return enabled_; }
 
   /// Availability / straggler fate of `client` in `round`.
   ClientFault assess(std::size_t round, std::size_t client) const;
@@ -252,7 +252,6 @@ class FaultModel {
 
  private:
   FaultConfig config_;
-  bool enabled_ = false;
 };
 
 // --- storage faults -------------------------------------------------------
@@ -323,7 +322,6 @@ struct RoundStats {
   std::size_t accepted = 0;     // updates that entered aggregation
   std::size_t rejected_non_finite = 0;
   std::size_t rejected_norm = 0;
-  std::size_t rejected_lost = 0;
   std::size_t rejected_deadline = 0;
   std::size_t retransmissions = 0;  // extra transmission attempts
 
@@ -357,7 +355,7 @@ struct RoundStats {
   /// Total virtual-time backoff waited across this round's retries.
   double backoff_wait = 0.0;
   /// Clients whose uplink was abandoned after exhausting the retry budget
-  /// (same clients as rejected_lost, by id, for per-client give-up totals).
+  /// (RejectReason::kLost); its size is the round's lost-update count.
   std::vector<std::size_t> giveups;
 
   /// True when the round was skipped (admission or post-validation quorum).
@@ -384,10 +382,11 @@ struct RoundStats {
   std::vector<std::size_t> rejected_clients;
 
   std::size_t rejected_total() const {
-    return rejected_non_finite + rejected_norm + rejected_lost +
+    return rejected_non_finite + rejected_norm + giveups.size() +
            rejected_deadline;
   }
-  void add(RejectReason reason);
+  /// Count `client`'s update as rejected for `reason`.
+  void reject(RejectReason reason, std::size_t client);
 };
 
 }  // namespace spatl::fl

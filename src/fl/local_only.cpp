@@ -21,7 +21,8 @@ models::SplitModel& LocalOnly::client_model(std::size_t i) {
   return *slot;
 }
 
-void LocalOnly::run_round(const std::vector<std::size_t>& selected) {
+RoundStats LocalOnly::run_round(const std::vector<std::size_t>& selected,
+                               const RoundPolicy& policy) {
   for (const std::size_t i : selected) {
     SPATL_TRACE_SPAN("fl/train");
     common::Rng client_rng(config_.seed ^ (0xC11E47ULL * (i + 1)));
@@ -30,6 +31,7 @@ void LocalOnly::run_round(const std::vector<std::size_t>& selected) {
                            client_rng, model.all_params());
     // No ledger activity: nothing is communicated, by definition.
   }
+  return policy.admission;
 }
 
 void LocalOnly::state(StateArchive& ar) {

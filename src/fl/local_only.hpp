@@ -20,7 +20,10 @@ class LocalOnly : public FederatedAlgorithm {
   LocalOnly(FlEnvironment& env, FlConfig config);
 
   std::string name() const override { return "local-only"; }
-  void run_round(const std::vector<std::size_t>& selected) override;
+  /// Trains each selected client's own model; the stats are the
+  /// admission counts, as nothing is delivered.
+  RoundStats run_round(const std::vector<std::size_t>& selected,
+                       const RoundPolicy& policy = RoundPolicy()) override;
   /// Every materialized client model (weights + BN statistics).
   void state(StateArchive& ar) override;
 

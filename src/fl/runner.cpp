@@ -198,9 +198,6 @@ class RoundLoop {
  public:
   RoundLoop(FederatedAlgorithm& algo, const RunOptions& opts,
             const RoundCallback& callback);
-  // The algorithm holds pointers to faults_ and churn_.
-  RoundLoop(const RoundLoop&) = delete;
-  RoundLoop& operator=(const RoundLoop&) = delete;
 
   RunResult run();
 
@@ -219,23 +216,22 @@ class RoundLoop {
   std::size_t load(const RunCheckpoint& ckpt);
   void state(StateArchive& ar, std::size_t& round);
   void retune_krum();
-  void arm(const ResilienceConfig& rule);
 
   FederatedAlgorithm& algo_;
   const RunOptions& opts_;
   const RoundCallback& callback_;
   const std::size_t num_clients_;
   const double ratio_;  // sample_ratio clamped into [0, 1]
-  const bool async_on_;
-  std::optional<FaultModel> faults_;
+  std::optional<FaultModel> faults_;  // built only when a fault is injected
   std::optional<ChurnEngine> churn_;  // walks itself under run/churn/
   std::optional<store::CheckpointStore> store_;
   std::vector<std::size_t> all_clients_;  // the sampling pool without churn
 
   LoopState state_;
-  /// The policy installed this round: opts.resilience, upgraded in place when
+  /// The rule each round runs under: opts.resilience, upgraded in place when
   /// the escalation tracker trips (downgraded by the opt-in quiet-streak
-  /// de-escalation) and re-derived by a checkpoint load.
+  /// de-escalation), retuned by Krum auto-f and re-derived by a checkpoint
+  /// load.
   ResilienceConfig current_;
   RunResult result_;
 };
@@ -247,7 +243,6 @@ RoundLoop::RoundLoop(FederatedAlgorithm& algo, const RunOptions& opts,
       callback_(callback),
       num_clients_(algo.environment().num_clients()),
       ratio_(std::clamp(opts.sample_ratio, 0.0, 1.0)),
-      async_on_(opts.async.has_value() && opts.async->enabled),
       all_clients_(num_clients_),
       state_(opts, num_clients_),
       current_(opts.resilience) {
@@ -260,11 +255,10 @@ RoundLoop::RoundLoop(FederatedAlgorithm& algo, const RunOptions& opts,
   std::iota(all_clients_.begin(), all_clients_.end(), std::size_t(0));
   result_.client_giveups.assign(num_clients_, 0);
   result_.krum_f_estimate = current_.krum_f;
-  if (opts.faults) faults_.emplace(*opts.faults);
-  arm(current_);
-  // Semi-async straggler commit: every algorithm on the client-round
-  // skeleton can park and replay updates.
-  if (async_on_) algo.set_async(*opts.async);
+  if (opts.faults) {
+    faults_.emplace(*opts.faults);  // rejects out-of-range rates
+    if (!opts.faults->any_faults()) faults_.reset();
+  }
   // Durable generational store: periodic checkpoints are additionally
   // committed as CRC-verified generations, which a restarted run resumes
   // from through the ladder.
@@ -281,7 +275,6 @@ RoundLoop::RoundLoop(FederatedAlgorithm& algo, const RunOptions& opts,
     // telemetry bytes, same checkpoint entries.
     if (churn_->trace().empty()) churn_.reset();
   }
-  if (churn_) algo.set_churn(&*churn_);
 }
 
 RunResult RoundLoop::run() {
@@ -302,11 +295,8 @@ RunResult RoundLoop::run() {
     if (r.stop) break;
   }
   result_.comm = algo_.ledger().snapshot();
-  result_.buffered_remaining = algo_.buffered_total();
-  if (async_on_) algo_.clear_async();
-  if (churn_) algo_.clear_churn();
-  // Drop the borrowed fault model: the algorithm outlives this loop.
-  algo_.set_fault_injection(nullptr, ResilienceConfig{});
+  // Parked updates never reach aggregation once the run ends.
+  result_.buffered_remaining = algo_.drop_parked();
   return std::move(result_);
 }
 
@@ -380,7 +370,7 @@ void RoundLoop::admit(Round& r) {
   admission.left = r.churn.left;
   admission.returned = r.churn.returned;
   if (churn_) admission.enrolled = churn_->enrolled().size();
-  if (faults_ && faults_->enabled()) {
+  if (faults_) {
     r.active.reserve(r.selected.size());
     for (const std::size_t i : r.selected) {
       const ClientFault f = faults_->assess(r.index, i);
@@ -438,7 +428,7 @@ void RoundLoop::train(Round& r) {
   // a round carried by late commits alone is still a round.
   const std::size_t quorum =
       std::max<std::size_t>(1, opts_.resilience.min_quorum);
-  const std::size_t due = async_on_ ? algo_.buffered_due(r.index) : 0;
+  const std::size_t due = opts_.async ? algo_.buffered_due(r.index) : 0;
   if (r.active.size() + due < quorum) {
     // Not enough live participants to even start: skip the round and
     // leave the global model untouched (parked updates stay buffered and
@@ -463,9 +453,13 @@ void RoundLoop::train(Round& r) {
     algo_.save_state(snapshot);
     ledger_snap = algo_.ledger().snapshot();
   }
-  algo_.begin_round(r.index, r.admission);
-  algo_.run_round(r.active);
-  r.stats = algo_.round_stats();
+  RoundPolicy policy{.round = r.index,
+                     .admission = r.admission,
+                     .fault = faults_ ? &*faults_ : nullptr,
+                     .rule = current_,
+                     .async = opts_.async ? &*opts_.async : nullptr,
+                     .churn = churn_ ? &*churn_ : nullptr};
+  r.stats = algo_.run_round(r.active, policy);
   if (!guard) return;
 
   EvalSummary eval = algo_.evaluate_clients();
@@ -480,19 +474,14 @@ void RoundLoop::train(Round& r) {
                       aggregator_kind_name(kDivergenceFallback));
     algo_.load_state(snapshot);
     algo_.ledger().restore(ledger_snap);
-    ResilienceConfig fallback = current_;
-    fallback.aggregator = kDivergenceFallback;
-    arm(fallback);
-    algo_.begin_round(r.index, r.admission);
-    algo_.run_round(r.active);
-    r.stats = algo_.round_stats();
+    policy.rule.aggregator = kDivergenceFallback;
+    r.stats = algo_.run_round(r.active, policy);
     r.stats.rolled_back = true;
     // Post-mortem window: the rounds that led into the explosion (this
     // round's own record is rendered after the dump).
     if (opts_.flight != nullptr) {
       opts_.flight->dump("divergence_rollback", r.index);
     }
-    arm(current_);
     eval = algo_.evaluate_clients();
   }
   state_.prev_loss = eval.avg_loss;
@@ -511,7 +500,6 @@ void RoundLoop::observe(Round& r) {
     const bool up = action == Action::kEscalate;
     current_.aggregator =
         up ? opts_.escalation.aggregator : opts_.resilience.aggregator;
-    arm(current_);
     common::log_debug(algo_.name(), " round ", r.index,
                       up ? " escalating aggregator to "
                          : " quiet streak elapsed, de-escalating to ",
@@ -724,7 +712,7 @@ std::size_t RoundLoop::load(const RunCheckpoint& ckpt) {
 
 /// The loop's one checkpoint walk (DESIGN.md §8.4): the algorithm, then the
 /// loop state in entry order. A load starts from a fresh LoopState and
-/// re-arms the rule the snapshot ran under.
+/// restores the rule the snapshot ran under.
 void RoundLoop::state(StateArchive& ar, std::size_t& round) {
   algo_.state(ar);
   if (ar.loading()) state_ = LoopState(opts_, num_clients_);
@@ -749,13 +737,12 @@ void RoundLoop::state(StateArchive& ar, std::size_t& round) {
   ar.optional().f64("run/series/backoff_wait", result_.total_backoff_wait);
   state_.escalation.state(ar);
   if (ar.loading()) {
-    // Re-arm the aggregation rule the snapshot was running under,
-    // escalated or the base rule.
+    // The aggregation rule the snapshot was running under, escalated or the
+    // base rule.
     current_ = opts_.resilience;
     if (state_.escalation.active()) {
       current_.aggregator = opts_.escalation.aggregator;
     }
-    arm(current_);
   }
   ar.optional(!state_.defer_queue.empty())
       .u64s("run/admission_carryover", state_.defer_queue);
@@ -788,13 +775,8 @@ void RoundLoop::retune_krum() {
   result_.krum_f_estimate = f;
   if (f == current_.krum_f) return;
   current_.krum_f = f;
-  arm(current_);
   common::log_debug(algo_.name(), " krum auto-tune: f -> ", f, " (",
                     estimate, " repeat suspect(s))");
-}
-
-void RoundLoop::arm(const ResilienceConfig& rule) {
-  algo_.set_fault_injection(faults_ ? &*faults_ : nullptr, rule);
 }
 
 }  // namespace

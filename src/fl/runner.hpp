@@ -4,13 +4,15 @@
 // Produces exactly the series the paper's figures plot — accuracy vs round
 // and accuracy vs cumulative communicated bytes — plus stop-at-target
 // queries for the rounds-to-target-accuracy tables. Every run takes one
-// path: the runner installs RunOptions::resilience (the server's defenses)
-// in the algorithm, and when RunOptions carries a FaultConfig it also owns
-// a deterministic FaultModel, drops unavailable clients before the round,
-// flags stragglers, and threads the model into the algorithm for uplink
-// corruption/loss injection. Rounds below the quorum are skipped with the
-// global model untouched. A clean run is this path with no fault model and
-// the default ResilienceConfig.
+// path. The runner owns the run's policy: the current aggregation rule
+// (RunOptions::resilience, escalated or retuned as the run goes), the
+// deterministic FaultModel when RunOptions::faults injects any fault, the
+// async settings and the churn engine. It drops unavailable clients before
+// the round, flags stragglers, and hands the policy to each
+// FederatedAlgorithm::run_round call as a RoundPolicy, so the algorithm
+// holds none of it between rounds. Rounds below the quorum are skipped with
+// the global model untouched. A clean run is this path with no fault model
+// and the default ResilienceConfig.
 #pragma once
 
 #include <functional>
@@ -91,10 +93,11 @@ struct RunOptions {
   std::optional<double> target_accuracy;
   std::uint64_t sampling_seed = 7;
   /// Fault injection (dropout, stragglers, uplink corruption, message
-  /// loss). nullopt = clean world.
+  /// loss). nullopt, or a config with no fault (FaultConfig::any_faults()),
+  /// = clean world.
   std::optional<FaultConfig> faults;
   /// Server-side defenses (validation, retry budget, quorum, staleness,
-  /// aggregation rule), installed on every run. The defaults reject only
+  /// aggregation rule), applied on every run. The defaults reject only
   /// non-finite updates and aggregate with the sample-weighted mean.
   ResilienceConfig resilience;
 
@@ -102,8 +105,8 @@ struct RunOptions {
   /// clients are parked and commit `lag` rounds later with weight
   /// stale_weight^lag instead of the synchronous same-round policy. Only
   /// meaningful with `faults` set (the deadline comes from the fault
-  /// model's virtual compute times); nullopt or enabled=false leaves the
-  /// synchronous path bit-identical.
+  /// model's virtual compute times); nullopt leaves the synchronous path
+  /// bit-identical.
   std::optional<AsyncConfig> async;
 
   /// Elastic membership (DESIGN.md §12): a deterministic, seed-derived
@@ -170,7 +173,7 @@ struct RunOptions {
 
   /// Attack-aware Krum f auto-tuning: maintain a per-client suspicion
   /// ledger from the robust aggregator's exclusions and, whenever the
-  /// active rule is Krum, re-arm its assumed-Byzantine bound f with the
+  /// active rule is Krum, retune its assumed-Byzantine bound f to the
   /// number of repeat suspects (excluded in >= 2 rounds), clamped to
   /// [resilience.krum_f, participants - 3]. The ledger rides checkpoints
   /// as "run/krum_ledger" so resumed runs keep their estimate. Only Krum

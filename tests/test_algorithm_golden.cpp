@@ -175,7 +175,6 @@ RunOptions scenario_options(const std::string& scenario) {
     fc.seed = 515;
     opts.faults = fc;
     AsyncConfig ac;
-    ac.enabled = true;
     ac.stale_weight = 0.5;
     ac.max_lag = 4;
     opts.async = ac;

@@ -173,24 +173,25 @@ RunOptions straggler_options() {
   return opts;
 }
 
-// A run with AsyncConfig{enabled = false} must be float-for-float identical
-// to a run with no AsyncConfig at all: the disabled subsystem may not touch
-// a single code path that feeds the model.
+// A run with async set but no fault model must be float-for-float identical
+// to a run with no AsyncConfig at all: with no deadline nothing parks, and
+// the async settings may not touch a single code path that feeds the model.
 class AsyncOffBitIdentity : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(AsyncOffBitIdentity, DisabledAsyncMatchesAbsentAsync) {
   const auto source = small_source();
+  RunOptions opts = straggler_options();
+  opts.faults.reset();  // no fault model, so no deadline
 
   common::Rng rng1(37);
   FlEnvironment env1(source, 4, 0.5, 0.25, rng1);
   auto plain = make_algorithm(GetParam(), env1);
-  const auto a = run_federated(*plain, straggler_options());
+  const auto a = run_federated(*plain, opts);
 
   common::Rng rng2(37);
   FlEnvironment env2(source, 4, 0.5, 0.25, rng2);
   auto off = make_algorithm(GetParam(), env2);
-  RunOptions opts = straggler_options();
-  opts.async = AsyncConfig{};  // present but enabled = false
+  opts.async = AsyncConfig{};
   const auto b = run_federated(*off, opts);
 
   const auto wa = global_weights(*plain);
@@ -224,7 +225,6 @@ TEST(AsyncCommit, StragglersAreParkedAndCommitLate) {
   opts.eval_every = 1;
   opts.faults = straggler_faults();
   AsyncConfig ac;
-  ac.enabled = true;
   ac.stale_weight = 0.5;
   ac.max_lag = 8;
   opts.async = ac;
@@ -260,7 +260,6 @@ TEST(AsyncCommit, LagBeyondMaxLagIsRejectedAsDeadline) {
   fc.slowdown_factor = 10.0;  // lag ~ ceil(10/2) - 1 = 4 > max_lag
   opts.faults = fc;
   AsyncConfig ac;
-  ac.enabled = true;
   ac.max_lag = 2;
   opts.async = ac;
 
@@ -325,7 +324,6 @@ TEST(DeadlinePolicy, StaleWeightAndAsyncMatrix) {
 
   // Async, lag within max_lag: parked, regardless of the sync stale_weight.
   AsyncConfig within;
-  within.enabled = true;
   within.max_lag = 4;
   const auto parked = run_cell(0.0, within);
   EXPECT_EQ(sum_deadline(parked), 0u);
@@ -333,7 +331,6 @@ TEST(DeadlinePolicy, StaleWeightAndAsyncMatrix) {
 
   // Async, lag beyond max_lag: kDeadline is back (the only async case).
   AsyncConfig beyond;
-  beyond.enabled = true;
   beyond.max_lag = 0;
   const auto rejected = run_cell(0.5, beyond);
   EXPECT_GT(sum_deadline(rejected), 0u);
@@ -414,7 +411,6 @@ RunOptions async_resume_options() {
   opts.sampling_seed = 9;
   opts.faults = straggler_faults();
   AsyncConfig ac;
-  ac.enabled = true;
   ac.stale_weight = 0.5;
   ac.max_lag = 4;
   opts.async = ac;
@@ -604,7 +600,6 @@ TEST(PhaseHistograms, TracedRoundsRecordPerPhaseLatency) {
     opts.rounds = 2;
     opts.faults = straggler_faults();
     AsyncConfig ac;
-    ac.enabled = true;
     opts.async = ac;
     opts.telemetry = &sink;
     run_federated(algo, opts);

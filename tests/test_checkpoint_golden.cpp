@@ -111,7 +111,6 @@ RunOptions async_options() {
   fc.seed = 515;
   opts.faults = fc;
   AsyncConfig ac;
-  ac.enabled = true;
   opts.async = ac;
   return opts;
 }

@@ -208,7 +208,6 @@ TEST(CheckpointResume, ChurnTraceAndParkedCohortSurviveResume) {
     fc.seed = 515;
     opts.faults = fc;
     AsyncConfig ac;
-    ac.enabled = true;
     ac.max_lag = 4;
     opts.async = ac;
     ChurnConfig cc;
@@ -294,7 +293,6 @@ RunOptions busy_options() {
   rc.retry.backoff_base = 0.5;
   opts.resilience = rc;
   AsyncConfig ac;
-  ac.enabled = true;
   ac.max_lag = 3;
   opts.async = ac;
   ChurnConfig cc;

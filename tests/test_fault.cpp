@@ -68,12 +68,11 @@ TEST(FlatUtils, L2NormMatchesClosedForm) {
 TEST(FaultModel, DisabledWhenAllRatesZero) {
   FaultConfig cfg;
   EXPECT_FALSE(cfg.any_faults());
-  EXPECT_FALSE(FaultModel(cfg).enabled());
   cfg.dropout_rate = 0.1;
-  EXPECT_TRUE(FaultModel(cfg).enabled());
+  EXPECT_TRUE(cfg.any_faults());
   cfg.dropout_rate = 0.0;
   cfg.availability = {0.5};
-  EXPECT_TRUE(FaultModel(cfg).enabled());
+  EXPECT_TRUE(cfg.any_faults());
 }
 
 TEST(FaultModel, RejectsOutOfRangeRates) {
@@ -83,6 +82,20 @@ TEST(FaultModel, RejectsOutOfRangeRates) {
   cfg.dropout_rate = 0.0;
   cfg.loss_rate = -0.1;
   EXPECT_THROW(FaultModel{cfg}, std::invalid_argument);
+}
+
+// The runner builds no fault model from a config without faults, but it
+// still refuses one whose rates are out of range.
+TEST(FaultModel, RunRejectsOutOfRangeRatesWithoutFaults) {
+  const auto source = small_source();
+  common::Rng rng(5);
+  FlEnvironment env(source, 2, 0.5, 0.25, rng);
+  FedAvg algo(env, small_config());
+  RunOptions opts;
+  opts.rounds = 1;
+  opts.faults = FaultConfig{};
+  opts.faults->loss_rate = -0.1;
+  EXPECT_THROW(run_federated(algo, opts), std::invalid_argument);
 }
 
 TEST(FaultModel, DeterministicAndOrderIndependent) {

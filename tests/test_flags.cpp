@@ -33,6 +33,15 @@ TEST(Flags, BooleanFlagWithoutValue) {
   EXPECT_EQ(f.get("arch"), "cnn2");
 }
 
+TEST(Flags, BareFlagsAreRecorded) {
+  auto f = parse({"--verbose", "--arch", "cnn2", "--out=", "--metrics-out"});
+  EXPECT_TRUE(f.bare("verbose"));
+  EXPECT_TRUE(f.bare("metrics-out"));
+  EXPECT_FALSE(f.bare("arch"));
+  EXPECT_FALSE(f.bare("out"));  // an explicit empty value is not bare
+  EXPECT_FALSE(f.bare("absent"));
+}
+
 TEST(Flags, Positionals) {
   auto f = parse({"train", "--rounds", "3", "extra"});
   EXPECT_EQ(f.positionals(), (std::vector<std::string>{"train", "extra"}));

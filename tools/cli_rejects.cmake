@@ -8,7 +8,8 @@
 #         -P tools/cli_rejects.cmake
 #
 # With -DCASE_PATTERN=<regex> -DCASE_ARGS="<spatl arguments>" it checks that
-# one command instead of the table below.
+# one command instead of the table below. Commands run in WORK_DIR, so a
+# command the CLI wrongly accepts leaves its files there.
 foreach(var SPATL WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "cli_rejects: -D${var}=... is required")
@@ -25,6 +26,7 @@ set(failures "")
 # rejects(<stderr regex after "error: "> <spatl arguments>...)
 function(rejects pattern)
   execute_process(COMMAND "${SPATL}" ${ARGN}
+                  WORKING_DIRECTORY "${WORK_DIR}"
                   RESULT_VARIABLE rc
                   OUTPUT_VARIABLE out
                   ERROR_VARIABLE err
@@ -122,6 +124,13 @@ rejects("--fault-ema-decay needs --fault-aware-sampling" ${train}
 # Algorithm-specific flags.
 rejects("--topk needs --algo fedavg\\+topk" ${train} --topk 0.2)
 rejects("--budget needs --algo spatl" ${train} --budget 0.5)
+
+# Path flags need a value: standing bare they would read as the path "true".
+rejects("--metrics-out needs a value" ${train} --rounds 1 --metrics-out)
+rejects("--out needs a value" ${train} --rounds 1 --out)
+rejects("--ckpt-dir needs a value" ${train} --rounds 1 --ckpt-dir)
+rejects("--trace-out needs a value" ${train} --rounds 1 --trace-out)
+rejects("--ckpt needs a value" evaluate --ckpt)
 
 # Malformed values, repeats and strays.
 rejects("flag --rounds expects an integer, got '1.9'" ${train} --rounds 1.9)

@@ -69,7 +69,7 @@ const char* const kHeadings[] = {
 
 /// How a value parses, and its usage placeholder: a count is an integer
 /// >= 0, a seed any integer (kept as its bit pattern), a switch a bool that
-/// may stand bare (`--async`).
+/// may stand bare (`--async`); text may not stand bare.
 enum Kind { kCount, kSeed, kNumber, kSwitch, kText };
 const char* const kPlaceholders[] = {"N", "S", "F", "", ""};
 
@@ -93,7 +93,7 @@ struct Config {
   fl::ChurnConfig churn;
   fl::store::StoreConfig store;
   // summary: a kDefence flag was given, so the participation lines print.
-  bool no_store_resume = false, summary = false;
+  bool async_on = false, no_store_resume = false, summary = false;
   std::string out, metrics_out, trace_out, ckpt;
   std::vector<obs::AlertRule> alerts;
   std::optional<std::size_t> flight_window;
@@ -130,7 +130,7 @@ const Need kTrimRule{"trimmed in --aggregator/--escalate-aggregator", uses_rule<
 const Need kKrumRule{"krum in --aggregator/--escalate-aggregator", uses_rule<kKrum>};
 const Need kClipRule{"clipped in --aggregator/--escalate-aggregator", uses_rule<kNormClippedMean>};
 const Need kBackoff{"--retry-backoff > 0", HOLDS(c.run.resilience.retry.backoff_base > 0)};
-const Need kAsyncOn{"--async", HOLDS(c.async.enabled)};
+const Need kAsyncOn{"--async", HOLDS(c.async_on)};
 const Need kEscalateOn{"--escalate", HOLDS(c.run.escalation.enabled)};
 const Need kChurnOn{"churn (--churn-* > 0 or --churn-initial < 1)", HOLDS(c.churn.any_churn())};
 const Need kAdmissionCap{"an admission cap (--admit-max-* > 0)", HOLDS(c.run.admission.limited())};
@@ -229,7 +229,7 @@ const Flag kFlags[] = {
     {"krum-auto-f", kRobust, SWITCH(run.krum_auto_f), &kKrumRule},
     {"clip-norm", kRobust, NUMBER(run.resilience.clip_norm), &kClipRule},
 
-    {"async", kAsync, SWITCH(async.enabled), &kFaultModel},
+    {"async", kAsync, SWITCH(async_on), &kFaultModel},
     {"async-stale-weight", kAsync, NUMBER(async.stale_weight), &kAsyncOn},
     {"async-max-lag", kAsync, COUNT(async.max_lag), &kAsyncOn},
     {"escalate", kAsync, SWITCH(run.escalation.enabled)},
@@ -305,7 +305,13 @@ Config parse(Cmd cmd, const common::Flags& flags) {
   }
   flags.check_known(known);
   Config c(cmd);
-  for (const Flag* f : given) f->set(c, flags, f->name);
+  for (const Flag* f : given) {
+    if (f->kind == kText && flags.bare(f->name)) {
+      throw std::invalid_argument(std::string("--") + f->name +
+                                  " needs a value");
+    }
+    f->set(c, flags, f->name);
+  }
   if (c.fl.model.arch == "cnn2") c.fl.model.in_channels = 1;
   for (const Flag* f : given) {
     const std::string flag = std::string("--") + f->name;
@@ -320,7 +326,7 @@ Config parse(Cmd cmd, const common::Flags& flags) {
     c.summary = c.summary || f->group == kDefence;
   }
   if (c.faults.any_faults()) c.run.faults = c.faults;
-  if (c.async.enabled) c.run.async = c.async;
+  if (c.async_on) c.run.async = c.async;
   if (c.churn.any_churn()) c.run.churn = c.churn;
   if (c.store.enabled()) c.run.ckpt_store = c.store;
   c.run.resume_from_store = c.store.enabled() && !c.no_store_resume;
