@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace spatl::common {
@@ -126,8 +128,14 @@ class Rng {
     }
   }
 
-  /// Dirichlet(alpha, ..., alpha) over `k` categories.
+  /// Dirichlet(alpha, ..., alpha) over `k` categories. Throws
+  /// std::invalid_argument unless alpha > 0 (gamma() returns 0 for a shape
+  /// <= 0, which would silently yield uniform proportions).
   std::vector<double> dirichlet(double alpha, std::size_t k) {
+    if (!(alpha > 0.0)) {
+      throw std::invalid_argument(
+          "Dirichlet concentration must be > 0, got " + std::to_string(alpha));
+    }
     std::vector<double> out(k);
     double sum = 0.0;
     for (auto& v : out) {

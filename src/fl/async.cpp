@@ -87,36 +87,4 @@ void StragglerBuffer::state(StateArchive& ar, const std::string& prefix) {
   }
 }
 
-EscalationTracker::Action EscalationTracker::observe(const RoundStats& stats) {
-  if (!config_.enabled) return Action::kNone;
-  if (stats.skipped) return Action::kNone;  // nothing aggregated or learned
-  // Robust rules surface suspicion as exclusions/clips; the plain mean has
-  // only validation to go on, so rejected updates count toward the trend —
-  // otherwise a mean -> median escalation could never trigger.
-  const std::size_t suspicious = stats.suspects.size() + stats.clipped +
-                                 stats.rejected_non_finite +
-                                 stats.rejected_norm;
-  const double base = double(std::max<std::size_t>(1, stats.delivered));
-  const bool noisy = double(suspicious) / base >= config_.suspect_threshold;
-  if (active_) {
-    // De-escalation path (opt-in): the escalated rule must stay quiet for
-    // reset_after_quiet consecutive rounds before the cheap mean returns; a
-    // single noisy round re-arms the full wait. One-way when disabled.
-    if (config_.reset_after_quiet == 0) return Action::kNone;
-    quiet_ = noisy ? 0 : quiet_ + 1;
-    if (quiet_ >= config_.reset_after_quiet) {
-      reset();
-      return Action::kDeescalate;
-    }
-    return Action::kNone;
-  }
-  streak_ = noisy ? streak_ + 1 : 0;
-  if (streak_ >= std::max<std::size_t>(1, config_.patience)) {
-    active_ = true;
-    quiet_ = 0;
-    return Action::kEscalate;
-  }
-  return Action::kNone;
-}
-
 }  // namespace spatl::fl

@@ -25,8 +25,6 @@
 #include <vector>
 
 #include "fl/checkpoint.hpp"
-#include "fl/fault.hpp"
-#include "fl/robust.hpp"
 
 namespace spatl::fl {
 
@@ -100,67 +98,6 @@ class StragglerBuffer {
 
  private:
   std::vector<BufferedUpdate> entries_;  // ckpt: n (count, then per-entry keys)
-};
-
-/// Adaptive aggregator escalation: when the fraction of suspicious updates
-/// (robust-aggregator exclusions + norm clips) among delivered uplinks stays
-/// above `suspect_threshold` for `patience` consecutive rounds, the runner
-/// permanently escalates the aggregation rule from the configured one
-/// (typically kWeightedMean) to `aggregator`. One-way by default: an
-/// adversary who can quiet down for a round should not win the cheap mean
-/// back. `reset_after_quiet` opts into de-escalation after a sustained quiet
-/// streak (and EscalationTracker::reset() drops back explicitly).
-struct EscalationConfig {
-  bool enabled = false;
-  double suspect_threshold = 0.25;
-  std::size_t patience = 2;
-  AggregatorKind aggregator = AggregatorKind::kCoordinateMedian;
-  /// De-escalation patience: after this many consecutive quiet rounds
-  /// (suspicious fraction below threshold) under the escalated rule, the
-  /// tracker resets and the configured aggregator is restored. 0 keeps the
-  /// legacy one-way escalation (quiet rounds are never counted).
-  std::size_t reset_after_quiet = 0;
-};
-
-// ckpt-struct: run/escalation
-class EscalationTracker {
- public:
-  /// What the caller must do after feeding a round to observe().
-  enum class Action {
-    kNone,
-    kEscalate,    // trip: switch to config.aggregator from the next round
-    kDeescalate,  // quiet streak elapsed: restore the configured aggregator
-  };
-
-  EscalationTracker() = default;
-  explicit EscalationTracker(EscalationConfig config) : config_(config) {}
-
-  /// Feed one finished round. Returns kEscalate exactly once per trip, on
-  /// the round the escalation fires; kDeescalate when reset_after_quiet
-  /// consecutive quiet rounds have elapsed under the escalated rule.
-  Action observe(const RoundStats& stats);
-
-  /// Explicit reset: drop back to the non-escalated rule and clear both
-  /// streaks (exposed through the runner / CLI de-escalation path).
-  void reset() {
-    streak_ = 0;
-    quiet_ = 0;
-    active_ = false;
-  }
-
-  bool active() const { return active_; }
-  std::size_t streak() const { return streak_; }
-  std::size_t quiet_streak() const { return quiet_; }
-  /// Checkpoint walk; an absent entry loads as a fresh tracker.
-  void state(StateArchive& ar) {
-    ar.optional().u64("run/escalation", streak_, active_, quiet_);
-  }
-
- private:
-  EscalationConfig config_;  // ckpt: none(configuration, rebuilt by the runner)
-  std::size_t streak_ = 0;   // ckpt: run/escalation
-  std::size_t quiet_ = 0;    // ckpt: run/escalation (quiet rounds while escalated)
-  bool active_ = false;      // ckpt: run/escalation
 };
 
 }  // namespace spatl::fl

@@ -4,8 +4,8 @@
 // model checkpoint format uses — holding a consistent snapshot of a
 // federated run after round R: the algorithm's complete mutable state
 // (global model, control variates, per-client SPATL state including PPO
-// agents), the runner's sampling RNG cursor, the fault-aware sampling EMA,
-// the communication ledger, and the aggregate statistics. Restoring it into
+// agents), the runner's sampling RNG cursor, the communication ledger, and
+// the aggregate statistics. Restoring it into
 // a freshly-constructed algorithm/runner pair and continuing from round R+1
 // reproduces the uninterrupted run bit for bit.
 //

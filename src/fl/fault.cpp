@@ -326,7 +326,6 @@ std::vector<std::string> FaultyStoreIo::list_dir(const std::string& dir) {
 }
 
 void RoundStats::reject(RejectReason reason, std::size_t client) {
-  rejected_clients.push_back(client);
   switch (reason) {
     case RejectReason::kNone: break;
     case RejectReason::kNonFinite: ++rejected_non_finite; break;

@@ -362,9 +362,6 @@ struct RoundStats {
   bool skipped = false;
   /// Which quorum gate skipped it (kNone when !skipped).
   SkipReason skip_reason = SkipReason::kNone;
-  /// True when the round aggregated under an escalated robust rule
-  /// (EscalationTracker tripped in an earlier round).
-  bool escalated = false;
   /// True when the divergence guard rolled the round back and re-aggregated
   /// with the fallback robust rule.
   bool rolled_back = false;
@@ -377,9 +374,6 @@ struct RoundStats {
   std::vector<std::size_t> suspects;
   /// Updates the aggregator neutralized without excluding (norm clips).
   std::size_t clipped = 0;
-  /// Clients whose updates were rejected by validation (by id, parallel to
-  /// the rejected_* counters; feeds the fault-aware sampling EMA).
-  std::vector<std::size_t> rejected_clients;
 
   std::size_t rejected_total() const {
     return rejected_non_finite + rejected_norm + giveups.size() +

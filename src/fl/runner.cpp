@@ -62,7 +62,6 @@ constexpr RunCounter kRunCounters[] = {
     {"rolled_back", flag_of<&RoundStats::rolled_back>},
     {"parked", count_of<&RoundStats::parked>},
     {"late_commits", count_of<&RoundStats::late_commits>},
-    {"escalated", flag_of<&RoundStats::escalated>},
     {"dedup_dropped", count_of<&RoundStats::dedup_dropped>},
     {"joined", count_of<&RoundStats::joined>},
     {"left", count_of<&RoundStats::left>},
@@ -87,9 +86,6 @@ void accumulate(RunResult& result, const RoundStats& stats) {
   }
 }
 
-/// Minimum relative selection weight under fault-aware sampling: flaky
-/// clients are down-weighted, never starved.
-constexpr double kFaultSamplingFloor = 0.15;
 /// Robust rule a diverged round is re-aggregated with.
 constexpr AggregatorKind kDivergenceFallback =
     AggregatorKind::kCoordinateMedian;
@@ -122,56 +118,18 @@ bool contains(const std::vector<std::size_t>& v, std::size_t x) {
   return std::find(v.begin(), v.end(), x) != v.end();
 }
 
-/// Weighted sampling without replacement: `count` distinct indices drawn
-/// proportionally to `weights` (already floored > 0). Output sorted so the
-/// algorithms' per-client iteration order is stable.
-std::vector<std::size_t> weighted_sample_without_replacement(
-    common::Rng& rng, std::vector<double> weights, std::size_t count) {
-  count = std::min(count, weights.size());
-  std::vector<std::size_t> out;
-  out.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    std::size_t pick = rng.categorical(weights);
-    if (weights[pick] <= 0.0) {
-      // Exact-zero uniform draw can land on an exhausted slot; take the
-      // first live one instead of double-selecting.
-      for (std::size_t i = 0; i < weights.size(); ++i) {
-        if (weights[i] > 0.0) {
-          pick = i;
-          break;
-        }
-      }
-    }
-    out.push_back(pick);
-    weights[pick] = 0.0;  // removed from the pool
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 // The loop's checkpointed state beyond the algorithm and the RunResult
 // totals. A load starts from a fresh LoopState, so a member the walk forgets
 // reverts to its run-start value after a resume — and the resume, restart
 // and chaos suites see the drift.
 // ckpt-struct: run/
 struct LoopState {
-  LoopState(const RunOptions& opts, std::size_t num_clients)
-      : sampler(opts.sampling_seed),
-        fail_ema(num_clients, 0.0),
-        escalation(opts.escalation),
-        suspect_rounds(num_clients, 0) {}
+  explicit LoopState(const RunOptions& opts) : sampler(opts.sampling_seed) {}
 
   common::Rng sampler;  // ckpt: run/sampler_rng
-  /// Per-client failure EMA for fault-aware sampling: dropped, lost, or
-  /// rejected uplinks raise it; clean rounds decay it.
-  std::vector<double> fail_ema;  // ckpt: run/ema
   // ckpt: run/series/ (last evaluated loss, the divergence guard's reference)
   double prev_loss = std::numeric_limits<double>::quiet_NaN();
-  EscalationTracker escalation;          // ckpt: run/escalation
   std::vector<std::size_t> defer_queue;  // ckpt: run/admission_carryover
-  /// Attack-aware Krum f: per-client count of rounds in which the robust
-  /// aggregator excluded the client.
-  std::vector<std::uint64_t> suspect_rounds;  // ckpt: run/krum_ledger
 };
 
 /// One round's working set, handed from stage to stage.
@@ -184,7 +142,6 @@ struct Round {
   ChurnDelta churn;
   std::vector<std::size_t> selected;
   std::vector<std::size_t> active;
-  std::vector<std::size_t> dropped_ids;
   bool budget_exhausted = false;
   RoundStats admission;  // what the runner decided before training
   RoundStats stats;      // the round as it ran
@@ -206,7 +163,7 @@ class RoundLoop {
   void sample(Round& r);
   void admit(Round& r);
   void train(Round& r);
-  void observe(Round& r);
+  void observe(const Round& r);
   void evaluate(Round& r);
   void checkpoint(Round& r);
   void emit(const Round& r);
@@ -215,7 +172,6 @@ class RoundLoop {
   RunCheckpoint save(std::size_t round);
   std::size_t load(const RunCheckpoint& ckpt);
   void state(StateArchive& ar, std::size_t& round);
-  void retune_krum();
 
   FederatedAlgorithm& algo_;
   const RunOptions& opts_;
@@ -228,11 +184,6 @@ class RoundLoop {
   std::vector<std::size_t> all_clients_;  // the sampling pool without churn
 
   LoopState state_;
-  /// The rule each round runs under: opts.resilience, upgraded in place when
-  /// the escalation tracker trips (downgraded by the opt-in quiet-streak
-  /// de-escalation), retuned by Krum auto-f and re-derived by a checkpoint
-  /// load.
-  ResilienceConfig current_;
   RunResult result_;
 };
 
@@ -244,8 +195,7 @@ RoundLoop::RoundLoop(FederatedAlgorithm& algo, const RunOptions& opts,
       num_clients_(algo.environment().num_clients()),
       ratio_(std::clamp(opts.sample_ratio, 0.0, 1.0)),
       all_clients_(num_clients_),
-      state_(opts, num_clients_),
-      current_(opts.resilience) {
+      state_(opts) {
   // Pin the compute backend before any kernel runs: every GEMM in the round
   // loop (client training, evaluation, the divergence guard's probe pass)
   // must execute on one backend for the run to be bit-replayable.
@@ -254,10 +204,18 @@ RoundLoop::RoundLoop(FederatedAlgorithm& algo, const RunOptions& opts,
   }
   std::iota(all_clients_.begin(), all_clients_.end(), std::size_t(0));
   result_.client_giveups.assign(num_clients_, 0);
-  result_.krum_f_estimate = current_.krum_f;
-  if (opts.faults) {
-    faults_.emplace(*opts.faults);  // rejects out-of-range rates
-    if (!opts.faults->any_faults()) faults_.reset();
+  // Built on every run, so its range check sees every config, and dropped
+  // when it would inject nothing.
+  faults_.emplace(opts.faults);
+  if (!opts.faults.any_faults()) faults_.reset();
+  if (opts.resilience.stale_weight < 0.0 ||
+      opts.resilience.stale_weight > 1.0) {
+    throw std::invalid_argument(
+        "ResilienceConfig: stale_weight must be in [0, 1]");
+  }
+  if (opts.async &&
+      (opts.async->stale_weight <= 0.0 || opts.async->stale_weight > 1.0)) {
+    throw std::invalid_argument("AsyncConfig: stale_weight must be in (0, 1]");
   }
   // Durable generational store: periodic checkpoints are additionally
   // committed as CRC-verified generations, which a restarted run resumes
@@ -267,14 +225,12 @@ RoundLoop::RoundLoop(FederatedAlgorithm& algo, const RunOptions& opts,
   }
   // Elastic membership: the engine materializes its deterministic trace up
   // front; the runner replays it round by round and samples from the
-  // enrolled set only.
-  if (opts.churn) {
-    churn_.emplace(*opts.churn, opts.rounds, num_clients_);
-    // Off-switch contract: a config whose materialized trace is empty is
-    // indistinguishable from no churn at all — same sampling path, same
-    // telemetry bytes, same checkpoint entries.
-    if (churn_->trace().empty()) churn_.reset();
-  }
+  // enrolled set only. Like the fault model it is built on every run, so
+  // its range check sees every config. Off-switch contract: a config whose
+  // materialized trace is empty is indistinguishable from no churn at all —
+  // same sampling path, same telemetry bytes, same checkpoint entries.
+  churn_.emplace(opts.churn, opts.rounds, num_clients_);
+  if (churn_->trace().empty()) churn_.reset();
 }
 
 RunResult RoundLoop::run() {
@@ -328,20 +284,8 @@ void RoundLoop::sample(Round& r) {
   const std::vector<std::size_t>& pool =
       churn_ ? churn_->enrolled() : all_clients_;
   if (pool.empty()) return;
-  const std::size_t count = cohort_size(ratio_, pool.size());
-  if (opts_.fault_aware_sampling) {
-    // Selection weight shrinks with the failure EMA but never below the
-    // floor: flaky clients are down-weighted, not starved.
-    std::vector<double> weights(pool.size());
-    for (std::size_t k = 0; k < pool.size(); ++k) {
-      weights[k] =
-          std::max(kFaultSamplingFloor, 1.0 - state_.fail_ema[pool[k]]);
-    }
-    r.selected =
-        weighted_sample_without_replacement(state_.sampler, weights, count);
-  } else {
-    r.selected = state_.sampler.sample_without_replacement(pool.size(), count);
-  }
+  r.selected = state_.sampler.sample_without_replacement(
+      pool.size(), cohort_size(ratio_, pool.size()));
   for (std::size_t& s : r.selected) s = pool[s];
 }
 
@@ -376,7 +320,6 @@ void RoundLoop::admit(Round& r) {
       const ClientFault f = faults_->assess(r.index, i);
       if (f.fate == ClientFate::kUnavailable) {
         ++admission.dropped;
-        r.dropped_ids.push_back(i);
         continue;
       }
       if (f.fate == ClientFate::kStraggler) ++admission.stragglers;
@@ -456,7 +399,7 @@ void RoundLoop::train(Round& r) {
   RoundPolicy policy{.round = r.index,
                      .admission = r.admission,
                      .fault = faults_ ? &*faults_ : nullptr,
-                     .rule = current_,
+                     .rule = opts_.resilience,
                      .async = opts_.async ? &*opts_.async : nullptr,
                      .churn = churn_ ? &*churn_ : nullptr};
   r.stats = algo_.run_round(r.active, policy);
@@ -488,37 +431,9 @@ void RoundLoop::train(Round& r) {
   r.guard_eval = eval;
 }
 
-void RoundLoop::observe(Round& r) {
-  RoundStats& stats = r.stats;
-  // Adaptive escalation: this round ran under the rule selected so far;
-  // its stats then feed the tracker, and a trip upgrades the aggregator for
-  // every round that follows (one-way unless a quiet streak de-escalates).
-  stats.escalated = state_.escalation.active();
-  using Action = EscalationTracker::Action;
-  const Action action = state_.escalation.observe(stats);
-  if (action != Action::kNone) {
-    const bool up = action == Action::kEscalate;
-    current_.aggregator =
-        up ? opts_.escalation.aggregator : opts_.resilience.aggregator;
-    common::log_debug(algo_.name(), " round ", r.index,
-                      up ? " escalating aggregator to "
-                         : " quiet streak elapsed, de-escalating to ",
-                      aggregator_kind_name(current_.aggregator));
-  }
+void RoundLoop::observe(const Round& r) {
+  const RoundStats& stats = r.stats;
   accumulate(result_, stats);
-
-  if (opts_.krum_auto_f && !stats.suspects.empty()) {
-    // One ledger tick per client per round, however many aggregate calls
-    // excluded it (multi-tensor algorithms may call the robust rule more
-    // than once).
-    std::vector<std::size_t> uniq = stats.suspects;
-    std::sort(uniq.begin(), uniq.end());
-    uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-    for (const std::size_t c : uniq) {
-      if (c < num_clients_) ++state_.suspect_rounds[c];
-    }
-    retune_krum();
-  }
 
   // Threshold->alert hook: derived per-round rates, fed only when a
   // watcher is installed (pure observation).
@@ -534,16 +449,6 @@ void RoundLoop::observe(Round& r) {
         "fl.shed_rate",
         double(stats.shed + stats.admission_deferred) / selected_base,
         std::uint64_t(r.index));
-  }
-
-  if (opts_.fault_aware_sampling) {
-    const double decay = std::clamp(opts_.fault_ema_decay, 0.0, 1.0);
-    for (const std::size_t i : r.selected) {
-      const bool failed = contains(r.dropped_ids, i) ||
-                          contains(stats.rejected_clients, i);
-      state_.fail_ema[i] = decay * state_.fail_ema[i] +
-                           (1.0 - decay) * (failed ? 1.0 : 0.0);
-    }
   }
 }
 
@@ -631,9 +536,6 @@ void RoundLoop::emit(const Round& r) {
   if (stats.rolled_back) {
     rec.add("fallback", aggregator_kind_name(kDivergenceFallback));
   }
-  if (stats.escalated) {
-    rec.add("aggregator", aggregator_kind_name(current_.aggregator));
-  }
   if (r.eval) {
     rec.add_raw("eval", obs::JsonObject()
                             .add("avg_accuracy", r.eval->avg_accuracy)
@@ -711,20 +613,15 @@ std::size_t RoundLoop::load(const RunCheckpoint& ckpt) {
 }
 
 /// The loop's one checkpoint walk (DESIGN.md §8.4): the algorithm, then the
-/// loop state in entry order. A load starts from a fresh LoopState and
-/// restores the rule the snapshot ran under.
+/// loop state in entry order. A load starts from a fresh LoopState.
 void RoundLoop::state(StateArchive& ar, std::size_t& round) {
   algo_.state(ar);
-  if (ar.loading()) state_ = LoopState(opts_, num_clients_);
+  if (ar.loading()) state_ = LoopState(opts_);
   ar.u64("run/round", round);
   ar.rng("run/sampler_rng", state_.sampler);
   CommSnapshot lg = algo_.ledger().snapshot();
   ar.f64("run/ledger", lg.uplink, lg.downlink, lg.retransmitted);
   if (ar.loading()) algo_.ledger().restore(lg);
-  ar.doubles("run/ema", state_.fail_ema);
-  if (state_.fail_ema.size() != num_clients_) {
-    state_.fail_ema.assign(num_clients_, 0.0);
-  }
   for (std::size_t i = 0; i < kNumRunCounters; ++i) {
     ar.optional().u64("run/total/" + std::string(kRunCounters[i].name),
                       result_.totals[i]);
@@ -735,48 +632,13 @@ void RoundLoop::state(StateArchive& ar, std::size_t& round) {
     state_.prev_loss = std::numeric_limits<double>::quiet_NaN();
   }
   ar.optional().f64("run/series/backoff_wait", result_.total_backoff_wait);
-  state_.escalation.state(ar);
-  if (ar.loading()) {
-    // The aggregation rule the snapshot was running under, escalated or the
-    // base rule.
-    current_ = opts_.resilience;
-    if (state_.escalation.active()) {
-      current_.aggregator = opts_.escalation.aggregator;
-    }
-  }
   ar.optional(!state_.defer_queue.empty())
       .u64s("run/admission_carryover", state_.defer_queue);
-  if (opts_.krum_auto_f) {
-    ar.optional().u64s("run/krum_ledger", state_.suspect_rounds);
-    state_.suspect_rounds.resize(num_clients_);
-    if (ar.loading()) retune_krum();
-  }
   if (churn_) churn_->state(ar, "run/churn/");
   ar.optional(std::ranges::any_of(result_.client_giveups,
                                   [](std::size_t n) { return n > 0; }))
       .u64s("run/giveups", result_.client_giveups);
   result_.client_giveups.resize(num_clients_);
-}
-
-/// Attack-aware Krum f: repeat suspects (excluded in >= 2 rounds) estimate
-/// the live Byzantine population; one-off exclusions are Krum's normal
-/// selection noise and are ignored.
-void RoundLoop::retune_krum() {
-  std::size_t estimate = 0;
-  for (const std::uint64_t r : state_.suspect_rounds) {
-    if (r >= 2) ++estimate;
-  }
-  // Krum needs n - f - 2 >= 1 scoring neighbours; clamp against the nominal
-  // cohort so a noisy ledger can never wedge the aggregator.
-  const std::size_t cohort = cohort_size(ratio_, num_clients_);
-  const std::size_t upper = cohort > 3 ? cohort - 3 : 0;
-  const std::size_t f =
-      std::max(opts_.resilience.krum_f, std::min(estimate, upper));
-  result_.krum_f_estimate = f;
-  if (f == current_.krum_f) return;
-  current_.krum_f = f;
-  common::log_debug(algo_.name(), " krum auto-tune: f -> ", f, " (",
-                    estimate, " repeat suspect(s))");
 }
 
 }  // namespace

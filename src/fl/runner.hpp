@@ -4,11 +4,11 @@
 // Produces exactly the series the paper's figures plot — accuracy vs round
 // and accuracy vs cumulative communicated bytes — plus stop-at-target
 // queries for the rounds-to-target-accuracy tables. Every run takes one
-// path. The runner owns the run's policy: the current aggregation rule
-// (RunOptions::resilience, escalated or retuned as the run goes), the
-// deterministic FaultModel when RunOptions::faults injects any fault, the
-// async settings and the churn engine. It drops unavailable clients before
-// the round, flags stragglers, and hands the policy to each
+// path. The runner owns the run's policy: the aggregation rule
+// (RunOptions::resilience), the deterministic FaultModel when
+// RunOptions::faults injects any fault, the async settings and the churn
+// engine. It drops unavailable clients before the round, flags
+// stragglers, and hands the policy to each
 // FederatedAlgorithm::run_round call as a RoundPolicy, so the algorithm
 // holds none of it between rounds. Rounds below the quorum are skipped with
 // the global model untouched. A clean run is this path with no fault model
@@ -93,12 +93,13 @@ struct RunOptions {
   std::optional<double> target_accuracy;
   std::uint64_t sampling_seed = 7;
   /// Fault injection (dropout, stragglers, uplink corruption, message
-  /// loss). nullopt, or a config with no fault (FaultConfig::any_faults()),
-  /// = clean world.
-  std::optional<FaultConfig> faults;
+  /// loss). The runner range-checks it on every run; a config with no fault
+  /// (FaultConfig::any_faults() false, the default) = clean world.
+  FaultConfig faults;
   /// Server-side defenses (validation, retry budget, quorum, staleness,
   /// aggregation rule), applied on every run. The defaults reject only
-  /// non-finite updates and aggregate with the sample-weighted mean.
+  /// non-finite updates and aggregate with the sample-weighted mean. A
+  /// stale_weight outside [0, 1] is rejected.
   ResilienceConfig resilience;
 
   /// Semi-asynchronous straggler commit (DESIGN.md §11): past-deadline
@@ -106,16 +107,17 @@ struct RunOptions {
   /// stale_weight^lag instead of the synchronous same-round policy. Only
   /// meaningful with `faults` set (the deadline comes from the fault
   /// model's virtual compute times); nullopt leaves the synchronous path
-  /// bit-identical.
+  /// bit-identical. A stale_weight outside (0, 1] is rejected.
   std::optional<AsyncConfig> async;
 
   /// Elastic membership (DESIGN.md §12): a deterministic, seed-derived
   /// churn engine grows and shrinks the enrolled population mid-run; the
   /// runner samples from the enrolled set only, and returning clients'
-  /// first accepted uplink is staleness-discounted. nullopt — or a config
-  /// whose trace is empty (zero rates, full initial enrollment) — leaves
-  /// sampling draws, floats, and telemetry bytes unchanged.
-  std::optional<ChurnConfig> churn;
+  /// first accepted uplink is staleness-discounted. The runner range-checks
+  /// it on every run; a config whose trace is empty (zero rates, full
+  /// initial enrollment, the default) leaves sampling draws, floats, and
+  /// telemetry bytes unchanged.
+  ChurnConfig churn;
 
   /// Per-round admission budget (participant / uplink-byte caps); see
   /// AdmissionConfig. Unlimited by default.
@@ -126,19 +128,6 @@ struct RunOptions {
   /// which emits "type":"alert" JSONL records on threshold crossings.
   /// Pure observation. Not owned; must outlive the run.
   obs::AlertWatcher* alerts = nullptr;
-
-  /// Adaptive aggregator escalation: once the suspicious-update fraction
-  /// stays above threshold for `patience` rounds, permanently switch the
-  /// aggregation rule to `escalation.aggregator` (mean -> median by
-  /// default). Disabled by default.
-  EscalationConfig escalation;
-
-  /// Fault-aware client sampling: track a per-client failure EMA (dropped,
-  /// lost, or rejected uplinks count as failures) and down-weight flaky
-  /// clients during selection, never below a fixed floor of 0.15. Off = the
-  /// legacy uniform sample_without_replacement path, bit for bit.
-  bool fault_aware_sampling = false;
-  double fault_ema_decay = 0.9;         // history retained per round
 
   /// Crash-recoverable rounds: capture a full-state checkpoint every
   /// `checkpoint_every` rounds (0 = off), returned in RunResult and
@@ -170,16 +159,6 @@ struct RunOptions {
   /// drill is a restart: run to the crash round, build a fresh algorithm
   /// and run again with this flag (DESIGN.md §12).
   bool resume_from_store = false;
-
-  /// Attack-aware Krum f auto-tuning: maintain a per-client suspicion
-  /// ledger from the robust aggregator's exclusions and, whenever the
-  /// active rule is Krum, retune its assumed-Byzantine bound f to the
-  /// number of repeat suspects (excluded in >= 2 rounds), clamped to
-  /// [resilience.krum_f, participants - 3]. The ledger rides checkpoints
-  /// as "run/krum_ledger" so resumed runs keep their estimate. Only Krum
-  /// excludes clients, so under any other rule the ledger stays empty. Off =
-  /// the configured krum_f is never touched.
-  bool krum_auto_f = false;
 
   /// Divergence guard: when > 0, evaluate after every round; if the average
   /// loss is non-finite or exceeds `divergence_factor` times the previous
@@ -258,10 +237,6 @@ struct RunResult {
   /// Generations the recovery ladder rejected (corrupt file or failed
   /// restore) on its way to an older good one.
   std::size_t recovery_attempts_failed = 0;
-
-  /// Final auto-tuned Krum f (== the configured krum_f when krum_auto_f is
-  /// off or nothing was repeatedly suspected).
-  std::size_t krum_f_estimate = 0;
 
   /// Final ledger counters: comm.total() bytes communicated, of which
   /// comm.retransmitted were re-sent by the bounded-retry path.

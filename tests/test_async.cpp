@@ -181,7 +181,7 @@ class AsyncOffBitIdentity : public ::testing::TestWithParam<const char*> {};
 TEST_P(AsyncOffBitIdentity, DisabledAsyncMatchesAbsentAsync) {
   const auto source = small_source();
   RunOptions opts = straggler_options();
-  opts.faults.reset();  // no fault model, so no deadline
+  opts.faults = {};  // no fault model, so no deadline
 
   common::Rng rng1(37);
   FlEnvironment env1(source, 4, 0.5, 0.25, rng1);
@@ -471,116 +471,6 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, AsyncResumeBitIdentity,
                                            "scaffold", "spatl", "fedavgm",
                                            "fedadam", "fedavg+topk",
                                            "fedavg+int8"));
-
-// ------------------------------------------------- adaptive escalation ----
-
-TEST(Escalation, SustainedSuspicionEscalatesTheAggregator) {
-  const auto source = small_source();
-  const auto run_once = [&](bool escalate) {
-    common::Rng rng(97);
-    FlEnvironment env(source, 4, 0.5, 0.25, rng);
-    FedAvg algo(env, small_config());
-    RunOptions opts;
-    opts.rounds = 6;
-    opts.eval_every = 1;
-    FaultConfig fc;
-    fc.corruption_rate = 0.5;
-    fc.corruption_kind = CorruptionKind::kNaN;
-    fc.seed = 105;
-    opts.faults = fc;
-    if (escalate) {
-      opts.escalation.enabled = true;
-      opts.escalation.suspect_threshold = 0.25;
-      opts.escalation.patience = 2;
-      opts.escalation.aggregator = AggregatorKind::kCoordinateMedian;
-    }
-    return run_federated(algo, opts);
-  };
-
-  const auto escalated = run_once(true);
-  EXPECT_GT(escalated.total("escalated"), 0u);
-  bool flagged = false;
-  for (const auto& rec : escalated.history) flagged |= rec.stats.escalated;
-  EXPECT_TRUE(flagged);
-
-  // Off by default: the same hostile run never escalates.
-  const auto baseline = run_once(false);
-  EXPECT_EQ(baseline.total("escalated"), 0u);
-}
-
-TEST(Escalation, TrackerTripsOnceAfterPatienceAndIsSticky) {
-  EscalationConfig cfg;
-  cfg.enabled = true;
-  cfg.suspect_threshold = 0.5;
-  cfg.patience = 2;
-  EscalationTracker tracker(cfg);
-
-  RoundStats quiet;
-  quiet.delivered = 4;
-  RoundStats noisy;
-  noisy.delivered = 4;
-  noisy.rejected_non_finite = 3;
-
-  using Action = EscalationTracker::Action;
-  EXPECT_EQ(tracker.observe(noisy), Action::kNone);  // streak 1
-  EXPECT_EQ(tracker.observe(quiet), Action::kNone);  // streak resets
-  EXPECT_EQ(tracker.observe(noisy), Action::kNone);  // streak 1
-  EXPECT_EQ(tracker.observe(noisy), Action::kEscalate);  // trips exactly once
-  EXPECT_TRUE(tracker.active());
-  EXPECT_EQ(tracker.observe(noisy), Action::kNone);  // sticky, never re-trips
-
-  // Skipped rounds teach nothing: the streak neither grows nor resets.
-  EscalationTracker fresh(cfg);
-  RoundStats skipped = noisy;
-  skipped.skipped = true;
-  EXPECT_EQ(fresh.observe(noisy), Action::kNone);
-  EXPECT_EQ(fresh.observe(skipped), Action::kNone);
-  EXPECT_EQ(fresh.observe(noisy), Action::kEscalate);
-}
-
-TEST(Escalation, ResetDropsBackAndQuietStreakDeescalates) {
-  using Action = EscalationTracker::Action;
-  EscalationConfig cfg;
-  cfg.enabled = true;
-  cfg.suspect_threshold = 0.5;
-  cfg.patience = 1;
-
-  RoundStats quiet;
-  quiet.delivered = 4;
-  RoundStats noisy;
-  noisy.delivered = 4;
-  noisy.rejected_non_finite = 3;
-
-  // Explicit reset: drops the escalation and clears both streaks.
-  EscalationTracker tracker(cfg);
-  EXPECT_EQ(tracker.observe(noisy), Action::kEscalate);
-  EXPECT_TRUE(tracker.active());
-  tracker.reset();
-  EXPECT_FALSE(tracker.active());
-  EXPECT_EQ(tracker.streak(), 0u);
-  EXPECT_EQ(tracker.quiet_streak(), 0u);
-  // And the tracker can trip again afterwards.
-  EXPECT_EQ(tracker.observe(noisy), Action::kEscalate);
-
-  // Opt-in de-escalation after a sustained quiet streak.
-  cfg.reset_after_quiet = 2;
-  EscalationTracker relax(cfg);
-  EXPECT_EQ(relax.observe(noisy), Action::kEscalate);
-  EXPECT_EQ(relax.observe(quiet), Action::kNone);  // quiet 1
-  EXPECT_EQ(relax.observe(noisy), Action::kNone);  // noise resets the quiet streak
-  EXPECT_EQ(relax.observe(quiet), Action::kNone);  // quiet 1
-  EXPECT_EQ(relax.observe(quiet), Action::kDeescalate);  // quiet 2: drops back
-  EXPECT_FALSE(relax.active());
-  // One-way by default: without reset_after_quiet, quiet rounds never drop
-  // the escalation.
-  cfg.reset_after_quiet = 0;
-  EscalationTracker sticky(cfg);
-  EXPECT_EQ(sticky.observe(noisy), Action::kEscalate);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(sticky.observe(quiet), Action::kNone);
-  }
-  EXPECT_TRUE(sticky.active());
-}
 
 // ------------------------------------------------ per-phase latency sketches --
 

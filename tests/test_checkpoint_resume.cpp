@@ -104,7 +104,6 @@ RunOptions resume_options() {
   opts.sample_ratio = 0.75;
   opts.eval_every = 2;
   opts.sampling_seed = 9;
-  opts.fault_aware_sampling = true;  // the EMA must survive the checkpoint
   FaultConfig fc;
   fc.dropout_rate = 0.2;
   fc.loss_rate = 0.2;
@@ -275,7 +274,6 @@ RunOptions busy_options() {
   opts.eval_every = 1;
   opts.sample_ratio = 0.75;
   opts.sampling_seed = 9;
-  opts.fault_aware_sampling = true;
   FaultConfig fc;
   fc.dropout_rate = 0.15;
   fc.loss_rate = 0.3;

@@ -220,9 +220,10 @@ TEST(ChurnEngine, LoadWithoutEntriesResetsToInitialState) {
 
 // ------------------------------------------------- off-switch bit-identity --
 
-// A run with an inert ChurnConfig (zero rates, full enrollment), no
-// admission budget, and the default RetryPolicy must be byte-identical to
-// the plain run — floats AND telemetry.
+// A run with an inert ChurnConfig (a join rate but full enrollment, so
+// nobody is left to join: the engine is built and dropped), no admission
+// budget, and the default RetryPolicy must be byte-identical to the plain
+// run — floats AND telemetry.
 class ChurnOffBitIdentity : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ChurnOffBitIdentity, InertChurnMatchesAbsentChurn) {
@@ -262,7 +263,7 @@ TEST_P(ChurnOffBitIdentity, InertChurnMatchesAbsentChurn) {
     obs::JsonlWriter sink(path_b);
     RunOptions o = opts;
     o.telemetry = &sink;
-    o.churn = ChurnConfig{};       // inert: empty trace
+    o.churn.join_rate = 0.5;       // inert: empty trace
     o.admission = AdmissionConfig{};  // unlimited
     b = run_federated(*inert, o);
   }

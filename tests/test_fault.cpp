@@ -84,8 +84,8 @@ TEST(FaultModel, RejectsOutOfRangeRates) {
   EXPECT_THROW(FaultModel{cfg}, std::invalid_argument);
 }
 
-// The runner builds no fault model from a config without faults, but it
-// still refuses one whose rates are out of range.
+// The runner keeps no fault model or churn engine from a config that
+// injects nothing, but it still refuses one whose rates are out of range.
 TEST(FaultModel, RunRejectsOutOfRangeRatesWithoutFaults) {
   const auto source = small_source();
   common::Rng rng(5);
@@ -93,9 +93,31 @@ TEST(FaultModel, RunRejectsOutOfRangeRatesWithoutFaults) {
   FedAvg algo(env, small_config());
   RunOptions opts;
   opts.rounds = 1;
-  opts.faults = FaultConfig{};
-  opts.faults->loss_rate = -0.1;
+  opts.faults.loss_rate = -0.1;
   EXPECT_THROW(run_federated(algo, opts), std::invalid_argument);
+  opts.faults = {};
+  opts.churn.join_rate = -0.1;
+  EXPECT_THROW(run_federated(algo, opts), std::invalid_argument);
+  opts.churn = ChurnConfig{.initial_fraction = 1.5};
+  EXPECT_THROW(run_federated(algo, opts), std::invalid_argument);
+}
+
+// The runner refuses a synchronous stale weight outside [0, 1] and an async
+// one outside (0, 1], whether or not any client straggles.
+TEST(Resilience, RunRejectsOutOfRangeStaleWeights) {
+  const auto source = small_source();
+  common::Rng rng(5);
+  FlEnvironment env(source, 2, 0.5, 0.25, rng);
+  FedAvg algo(env, small_config());
+  RunOptions opts;
+  opts.rounds = 1;
+  opts.resilience.stale_weight = 3.0;
+  EXPECT_THROW(run_federated(algo, opts), std::invalid_argument);
+  opts.resilience.stale_weight = 1.0;
+  for (const double w : {-2.0, 0.0, 1.5}) {
+    opts.async = AsyncConfig{.stale_weight = w};
+    EXPECT_THROW(run_federated(algo, opts), std::invalid_argument) << w;
+  }
 }
 
 TEST(FaultModel, DeterministicAndOrderIndependent) {

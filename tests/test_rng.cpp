@@ -86,6 +86,13 @@ TEST(Rng, DirichletSumsToOne) {
   }
 }
 
+TEST(Rng, DirichletRejectsNonPositiveConcentration) {
+  Rng rng(19);
+  for (double alpha : {0.0, -1.0, std::nan("")}) {
+    EXPECT_THROW(rng.dirichlet(alpha, 10), std::invalid_argument) << alpha;
+  }
+}
+
 TEST(Rng, DirichletConcentrationControlsSkew) {
   Rng rng(23);
   // Low alpha -> concentrated draws (high max); high alpha -> near-uniform.

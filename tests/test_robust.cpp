@@ -576,35 +576,5 @@ TEST(RobustRun, SpatlMaskedUplinksSurviveByzantineClients) {
   EXPECT_GE(result.final_accuracy, 0.0);
 }
 
-// ------------------------------------------- fault-aware client sampling --
-
-TEST(FaultAwareSampling, FlakyClientsAreSelectedLess) {
-  const auto source = small_source();
-  auto run_with = [&source](bool aware) {
-    common::Rng rng(107);
-    FlEnvironment env(source, 8, 0.5, 0.25, rng);
-    FedAvg algo(env, small_config());
-    RunOptions opts;
-    opts.rounds = 10;
-    opts.sample_ratio = 0.5;
-    opts.eval_every = 100;  // final-round eval only; selection is the point
-    opts.sampling_seed = 5;
-    opts.fault_aware_sampling = aware;
-    opts.fault_ema_decay = 0.3;  // learn failures quickly
-    FaultConfig fc;
-    // Clients 0-3 are permanently down; 4-7 are always up.
-    fc.availability = {0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0};
-    opts.faults = fc;
-    return run_federated(algo, opts);
-  };
-  const auto uniform = run_with(false);
-  const auto aware = run_with(true);
-  // Uniform sampling keeps wasting slots on dead clients; the EMA-weighted
-  // sampler routes selection to the live half after the first few rounds.
-  EXPECT_LT(aware.total("dropped") * 2, uniform.total("dropped"));
-  EXPECT_GT(aware.total("accepted"), uniform.total("accepted"));
-  EXPECT_EQ(aware.total("selected"), uniform.total("selected"));
-}
-
 }  // namespace
 }  // namespace spatl::fl

@@ -437,7 +437,6 @@ RunOptions chaos_options() {
   opts.sample_ratio = 0.75;
   opts.eval_every = 2;
   opts.sampling_seed = 9;
-  opts.fault_aware_sampling = true;
   FaultConfig fc;
   fc.dropout_rate = 0.2;
   fc.loss_rate = 0.2;
@@ -654,98 +653,6 @@ TEST(StorageChaos, StoreOffSwitchKeepsLegacyResultsAndTelemetry) {
   // the legacy bytes.
   EXPECT_EQ(slurp(dir.file("legacy.jsonl")).find("\"type\":\"recovery\""),
             std::string::npos);
-}
-
-// ---------------------------------------------------------- krum auto-f ----
-
-RunOptions krum_options() {
-  RunOptions opts;
-  opts.rounds = 6;
-  opts.sample_ratio = 1.0;
-  opts.eval_every = 3;
-  opts.sampling_seed = 9;
-  FaultConfig fc;
-  fc.byzantine_clients = {1, 1, 0, 0, 0, 0, 0, 0};
-  fc.attack_kind = AttackKind::kScale;
-  fc.attack_scale = 5.0;
-  fc.seed = 600;
-  opts.faults = fc;
-  ResilienceConfig rc;
-  rc.aggregator = AggregatorKind::kKrum;
-  rc.krum_f = 1;       // deliberately under-provisioned for two attackers
-  rc.multi_krum = 6;   // keep 6 of 8: exclusions concentrate on outliers
-  opts.resilience = rc;
-  return opts;
-}
-
-TEST(KrumAutoF, RepeatSuspectsRaiseTheByzantineBound) {
-  const auto source = small_source();
-  common::Rng rng(41);
-  FlEnvironment env(source, 8, 0.5, 0.25, rng);
-  auto algo = make_algorithm("fedavg", env);
-  RunOptions opts = krum_options();
-  opts.krum_auto_f = true;
-  opts.checkpoint_every = 3;
-  const auto result = run_federated(*algo, opts);
-
-  // Both scale attackers are excluded round after round; the ledger must
-  // push the estimate past the configured f=1 while respecting the Krum
-  // viability clamp (participants - 3 = 5).
-  EXPECT_GE(result.krum_f_estimate, 2u);
-  EXPECT_LE(result.krum_f_estimate, 5u);
-  EXPECT_GT(result.total("suspected"), 0u);
-  // The suspicion ledger rides the snapshot.
-  EXPECT_NE(result.last_checkpoint.find("run/krum_ledger"), nullptr);
-}
-
-TEST(KrumAutoF, OffSwitchNeverTouchesTheConfiguredBound) {
-  const auto source = small_source();
-  common::Rng rng(41);
-  FlEnvironment env(source, 8, 0.5, 0.25, rng);
-  auto algo = make_algorithm("fedavg", env);
-  RunOptions opts = krum_options();
-  opts.checkpoint_every = 3;
-  const auto result = run_federated(*algo, opts);
-  EXPECT_EQ(result.krum_f_estimate, 1u);  // == configured krum_f
-  EXPECT_EQ(result.last_checkpoint.find("run/krum_ledger"), nullptr);
-}
-
-TEST(KrumAutoF, ResumedRunKeepsTheLedgerBitIdentical) {
-  // Checkpoint mid-run with a live suspicion ledger, restore into a fresh
-  // algorithm, and finish: the auto-tuned run must match its uninterrupted
-  // twin exactly, which only works if the ledger (and the re-tuned f)
-  // survive the snapshot.
-  const auto source = small_source();
-
-  common::Rng rng1(41);
-  FlEnvironment env1(source, 8, 0.5, 0.25, rng1);
-  auto straight = make_algorithm("fedavg", env1);
-  RunOptions full_opts = krum_options();
-  full_opts.krum_auto_f = true;
-  const auto full = run_federated(*straight, full_opts);
-
-  common::Rng rng2(41);
-  FlEnvironment env2(source, 8, 0.5, 0.25, rng2);
-  auto first = make_algorithm("fedavg", env2);
-  RunOptions leg1 = full_opts;
-  leg1.rounds = 3;
-  leg1.checkpoint_every = 3;
-  const auto half = run_federated(*first, leg1);
-  ASSERT_NE(half.last_checkpoint.find("run/krum_ledger"), nullptr);
-
-  common::Rng rng3(41);
-  FlEnvironment env3(source, 8, 0.5, 0.25, rng3);
-  auto second = make_algorithm("fedavg", env3);
-  RunOptions leg2 = full_opts;
-  leg2.resume = &half.last_checkpoint;
-  const auto resumed = run_federated(*second, leg2);
-
-  const auto wa = global_weights(*straight);
-  const auto wb = global_weights(*second);
-  ASSERT_EQ(wa.size(), wb.size());
-  EXPECT_EQ(std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(float)), 0);
-  EXPECT_EQ(full.krum_f_estimate, resumed.krum_f_estimate);
-  EXPECT_EQ(full.final_accuracy, resumed.final_accuracy);
 }
 
 // ----------------------------------------------------- cross-run reuse --

@@ -55,11 +55,26 @@ set(fault_model "needs a fault model")
 rejects("unknown flag --rl-rounds" ${train} --rl-rounds 2)
 rejects("unknown flag --budget" evaluate --ckpt x --budget 0.5)
 
+# Deleted adaptive defences (EXPERIMENTS.md X8): Krum auto-f, aggregator
+# escalation with its de-escalation, and fault-aware sampling.
+rejects("unknown flag --krum-auto-f" ${train} --aggregator krum --krum-auto-f)
+rejects("unknown flag --escalate" ${train} --escalate)
+rejects("unknown flag --escalate-threshold" ${train}
+        --escalate-threshold 0.5)
+rejects("unknown flag --escalate-patience" ${train} --escalate-patience 3)
+rejects("unknown flag --escalate-aggregator" ${train}
+        --escalate-aggregator median)
+rejects("unknown flag --escalate-reset-after" ${train}
+        --escalate-reset-after 2)
+rejects("unknown flag --fault-aware-sampling" ${train}
+        --fault-dropout 0.2 --fault-aware-sampling)
+rejects("unknown flag --fault-ema-decay" ${train} --fault-ema-decay 0.5)
+
 # Uplink flags on an algorithm without an uplink (--fault-dropout has a
 # ctest of its own in tools/CMakeLists.txt).
-rejects("--escalate does not apply to --algo local-only"
+rejects("--async does not apply to --algo local-only"
         train --algo local-only --arch cnn2 --input 8 --clients 2
-        --rounds 1 --escalate)
+        --rounds 1 --async)
 
 # Fault model: its sub-options act only on a configured fault model; a zero
 # rate configures none.
@@ -71,6 +86,33 @@ rejects("--fault-seed ${fault_model}" ${train} --fault-dropout 0
 rejects("--fault-corruption-kind needs --fault-corruption > 0" ${train}
         --fault-dropout 0.2 --fault-corruption-kind inf)
 
+# Rates out of [0, 1]: the runner range-checks the fault and churn configs
+# on every run, not only when some rate is > 0.
+set(rate "must be in \\[0, 1\\]")
+rejects("FaultConfig: dropout_rate ${rate}" ${train} --fault-dropout -0.1)
+rejects("FaultConfig: straggler_rate ${rate}" ${train}
+        --fault-straggler -0.1)
+rejects("FaultConfig: corruption_rate ${rate}" ${train}
+        --fault-corruption -0.1)
+rejects("FaultConfig: loss_rate ${rate}" ${train} --fault-loss -0.1)
+rejects("FaultConfig: byzantine_fraction ${rate}" ${train}
+        --byz-fraction -0.1)
+rejects("ChurnConfig: join_rate ${rate}" ${train} --churn-join -0.1)
+rejects("ChurnConfig: leave_rate ${rate}" ${train} --churn-leave -0.1)
+rejects("ChurnConfig: return_rate ${rate}" ${train} --churn-return -0.1)
+rejects("ChurnConfig: initial_fraction ${rate}" ${train}
+        --churn-initial 1.5)
+
+# Stale weights: [0, 1] synchronous, (0, 1] semi-async.
+rejects("ResilienceConfig: stale_weight ${rate}" ${train}
+        --fault-straggler 0.6 --stale-weight 3)
+rejects("AsyncConfig: stale_weight must be in \\(0, 1\\]" ${train}
+        --fault-straggler 0.6 --async --async-stale-weight -2)
+
+# A Dirichlet split needs a concentration > 0.
+rejects("Dirichlet concentration must be > 0" ${train} --beta 0)
+rejects("Dirichlet concentration must be > 0" ${train} --beta -1)
+
 # Byzantine attacks.
 rejects("--byz-attack needs --byz-fraction > 0" ${train} --byz-attack scale)
 rejects("--byz-scale needs --byz-attack scale or collude" ${train}
@@ -78,16 +120,12 @@ rejects("--byz-scale needs --byz-attack scale or collude" ${train}
 rejects("--byz-noise needs --byz-attack noise" ${train} --byz-fraction 0.25
         --byz-attack scale --byz-noise 2)
 
-# Aggregator options need their rule in --aggregator or
-# --escalate-aggregator. The last is an earlier README recovery example,
-# which never named krum.
+# Aggregator options need their rule in --aggregator.
 rejects("--trim-fraction needs trimmed" ${train} --trim-fraction 0.1)
 rejects("--krum-f needs krum" ${train} --aggregator median --krum-f 1)
-rejects("--multi-krum needs krum" ${train} --escalate
-        --escalate-aggregator median --multi-krum 2)
+rejects("--multi-krum needs krum" ${train} --aggregator median
+        --multi-krum 2)
 rejects("--clip-norm needs clipped" ${train} --clip-norm 1)
-rejects("--krum-auto-f needs krum" ${train} --checkpoint-every 2
-        --ckpt-dir "${ckpt_dir}" --krum-auto-f --fault-aware-sampling)
 
 # Retry: retries need lossy links, backoff shaping needs a backoff.
 rejects("--max-retries needs --fault-loss > 0" ${train} --fault-dropout 0.2
@@ -97,14 +135,10 @@ rejects("--retry-jitter needs --retry-backoff > 0" ${train}
 rejects("--retry-backoff-factor needs --retry-backoff > 0" ${train}
         --retry-backoff 0 --retry-backoff-factor 3)
 
-# Semi-async commit and escalation.
+# Semi-async commit.
 rejects("--async ${fault_model}" ${train} --async)
 rejects("--async-max-lag needs --async" ${train} --fault-straggler 0.5
         --async false --async-max-lag 2)
-rejects("--escalate-patience needs --escalate" ${train}
-        --escalate-patience 3)
-rejects("--escalate-threshold needs --escalate" ${train} --escalate false
-        --escalate-threshold 0.5)
 
 # Churn and admission.
 rejects("--churn-seed needs churn" ${train} --churn-seed 5)
@@ -113,13 +147,11 @@ rejects("--churn-stale-weight needs churn" ${train} --churn-initial 1
 rejects("--admit-policy needs an admission cap" ${train}
         --admit-policy defer)
 
-# Store, telemetry, sampling.
+# Store and telemetry.
 rejects("--ckpt-keep needs --ckpt-dir" ${train} --ckpt-keep 2)
 rejects("--no-store-resume needs --ckpt-dir" ${train} --no-store-resume)
 rejects("--telemetry-every needs --metrics-out" ${train}
         --telemetry-every 2)
-rejects("--fault-ema-decay needs --fault-aware-sampling" ${train}
-        --fault-ema-decay 0.5)
 
 # Algorithm-specific flags.
 rejects("--topk needs --algo fedavg\\+topk" ${train} --topk 0.2)

@@ -33,7 +33,6 @@ void fold_round(const JsonValue& rec, const JsonValue& counts,
   r->retransmissions += counts.u64("retransmissions");
   r->rounds_skipped += counts.u64("skipped");
   r->rollbacks += counts.u64("rolled_back");
-  r->escalations += counts.u64("escalated");
 
   if (const JsonValue* comm = rec.find("comm")) {
     r->uplink_bytes += comm->num("uplink_bytes");
@@ -144,7 +143,6 @@ std::string render_json(const HealthReport& r) {
 
   obs::JsonObject resilience;
   resilience.add("rollbacks", r.rollbacks)
-      .add("escalations", r.escalations)
       .add("recoveries_ok", r.recoveries_ok)
       .add("recoveries_failed", r.recoveries_failed);
 
@@ -247,11 +245,9 @@ std::string render_markdown(const HealthReport& r) {
         " | " + std::to_string(r.retransmissions) + " |\n\n";
 
   md += "## Resilience\n\n";
-  md += "| rollbacks | escalations | recoveries ok | recoveries failed | "
-        "flight dumps |\n";
-  md += "|---|---|---|---|---|\n";
+  md += "| rollbacks | recoveries ok | recoveries failed | flight dumps |\n";
+  md += "|---|---|---|---|\n";
   md += "| " + std::to_string(r.rollbacks) + " | " +
-        std::to_string(r.escalations) + " | " +
         std::to_string(r.recoveries_ok) + " | " +
         std::to_string(r.recoveries_failed) + " | " +
         std::to_string(r.flight_dumps) + " |\n\n";
@@ -352,9 +348,9 @@ namespace {
 // Known-input stream for the self-test: two traced rounds with eval, an
 // alert, a failed recovery load, and the flight dump its exhaustion fires.
 const char kSelfTestJsonl[] =
-    R"({"type":"round","algo":"spatl","round":1,"counts":{"selected":4,"dropped":1,"stragglers":0,"accepted":3,"rejected":1,"retransmissions":2,"skipped":0,"rolled_back":0,"escalated":0},"comm":{"uplink_bytes":1000,"downlink_bytes":2000,"retransmitted_bytes":100,"cumulative_bytes":3000},"eval":{"avg_accuracy":0.5,"avg_loss":1.2},"phases":{"fl/aggregate":{"total_ns":2000000,"count":1},"fl/local_train":{"total_ns":8000000,"count":4}}}
+    R"({"type":"round","algo":"spatl","round":1,"counts":{"selected":4,"dropped":1,"stragglers":0,"accepted":3,"rejected":1,"retransmissions":2,"skipped":0,"rolled_back":0},"comm":{"uplink_bytes":1000,"downlink_bytes":2000,"retransmitted_bytes":100,"cumulative_bytes":3000},"eval":{"avg_accuracy":0.5,"avg_loss":1.2},"phases":{"fl/aggregate":{"total_ns":2000000,"count":1},"fl/local_train":{"total_ns":8000000,"count":4}}}
 {"type":"alert","rule":"acc-floor","metric":"eval.avg_accuracy","value":0.5,"threshold":0.6,"direction":"below","round":1}
-{"type":"round","algo":"spatl","round":2,"counts":{"selected":4,"dropped":0,"stragglers":1,"accepted":4,"rejected":0,"retransmissions":0,"skipped":0,"rolled_back":1,"escalated":0},"comm":{"uplink_bytes":1200,"downlink_bytes":2000,"retransmitted_bytes":0,"cumulative_bytes":6200},"eval":{"avg_accuracy":0.7,"avg_loss":0.9},"phases":{"fl/aggregate":{"total_ns":4000000,"count":1},"fl/local_train":{"total_ns":6000000,"count":4}}}
+{"type":"round","algo":"spatl","round":2,"counts":{"selected":4,"dropped":0,"stragglers":1,"accepted":4,"rejected":0,"retransmissions":0,"skipped":0,"rolled_back":1},"comm":{"uplink_bytes":1200,"downlink_bytes":2000,"retransmitted_bytes":0,"cumulative_bytes":6200},"eval":{"avg_accuracy":0.7,"avg_loss":0.9},"phases":{"fl/aggregate":{"total_ns":4000000,"count":1},"fl/local_train":{"total_ns":6000000,"count":4}}}
 {"type":"recovery","phase":"load","round":2,"path":"g0.ckpt","attempt":1,"ok":false,"error":"crc mismatch"}
 {"type":"flight","trigger":"recovery_exhausted","round":2,"window":2,"rounds_seen":2,"rounds_dropped":0,"first_round":1,"last_round":2,"records":[]}
 )";

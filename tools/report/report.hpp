@@ -61,7 +61,6 @@ struct HealthReport {
   // Resilience events.
   std::uint64_t rounds_skipped = 0;
   std::uint64_t rollbacks = 0;
-  std::uint64_t escalations = 0;
   std::uint64_t recoveries_ok = 0;
   std::uint64_t recoveries_failed = 0;
 

@@ -57,14 +57,14 @@ constexpr unsigned kAll = kTrain | kEvaluate | kPrune | kInfo;
 const char* const kCmdNames[] = {"train", "evaluate", "prune", "info"};
 
 /// Usage sections, in table order. The uplink groups (kFault through
-/// kSampling) are rejected on --algo local-only, which has no uplink; a
+/// kChurn) are rejected on --algo local-only, which has no uplink; a
 /// kDefence flag, like a fault model, prints the participation summary.
 enum Group { kModel, kRun, kFault, kDefence, kRobust, kAsync, kChurn,
-             kSampling, kRecovery, kTelemetry, kEvaluation, kPruning };
+             kRecovery, kTelemetry, kEvaluation, kPruning };
 const char* const kHeadings[] = {
     "model / backend", "run", "fault injection", "server defences",
-    "robust aggregation", "semi-async straggler commit / escalation",
-    "elastic membership / admission", "fault-aware sampling", "recovery",
+    "robust aggregation", "semi-async straggler commit",
+    "elastic membership / admission", "recovery",
     "telemetry (observation only)", "evaluation", "pruning"};
 
 /// How a value parses, and its usage placeholder: a count is an integer
@@ -87,10 +87,8 @@ struct Config {
                   .local = {.batch_size = 16, .lr = 0.05}};
   core::SpatlOptions spatl;
   fl::RunOptions run;
-  // These four reach `run` only once parse() finds them switched on.
-  fl::FaultConfig faults;
+  // These two reach `run` only once parse() finds them switched on.
   fl::AsyncConfig async;
-  fl::ChurnConfig churn;
   fl::store::StoreConfig store;
   // summary: a kDefence flag was given, so the participation lines print.
   bool async_on = false, no_store_resume = false, summary = false;
@@ -111,32 +109,31 @@ using enum fl::AggregatorKind;
 using enum fl::AttackKind;
 template <fl::AggregatorKind kind>
 bool uses_rule(const Config& c) {
-  return c.run.resilience.aggregator == kind ||
-         (c.run.escalation.enabled && c.run.escalation.aggregator == kind);
+  return c.run.resilience.aggregator == kind;
 }
 
 // Needs and flags are tables, one entry per line.
 #define HOLDS(expr) [](const Config& c) { return bool(expr); }
 const Need kFaultModel{"a fault model (a --fault-* or --byz-fraction rate > 0)",
-                       HOLDS(c.faults.any_faults())};
-const Need kCorruption{"--fault-corruption > 0", HOLDS(c.faults.corruption_rate > 0)};
-const Need kLoss{"--fault-loss > 0", HOLDS(c.faults.loss_rate > 0)};
-const Need kByzantine{"--byz-fraction > 0", HOLDS(c.faults.byzantine_fraction > 0)};
+                       HOLDS(c.run.faults.any_faults())};
+const Need kCorruption{"--fault-corruption > 0", HOLDS(c.run.faults.corruption_rate > 0)};
+const Need kLoss{"--fault-loss > 0", HOLDS(c.run.faults.loss_rate > 0)};
+const Need kByzantine{"--byz-fraction > 0", HOLDS(c.run.faults.byzantine_fraction > 0)};
 const Need kScaleAttack{"--byz-attack scale or collude",
-                        HOLDS(c.faults.attack_kind == kScale ||
-                              c.faults.attack_kind == kFixedDirection)};
-const Need kNoiseAttack{"--byz-attack noise", HOLDS(c.faults.attack_kind == kGaussianNoise)};
-const Need kTrimRule{"trimmed in --aggregator/--escalate-aggregator", uses_rule<kTrimmedMean>};
-const Need kKrumRule{"krum in --aggregator/--escalate-aggregator", uses_rule<kKrum>};
-const Need kClipRule{"clipped in --aggregator/--escalate-aggregator", uses_rule<kNormClippedMean>};
+                        HOLDS(c.run.faults.attack_kind == kScale ||
+                              c.run.faults.attack_kind == kFixedDirection)};
+const Need kNoiseAttack{"--byz-attack noise",
+                        HOLDS(c.run.faults.attack_kind == kGaussianNoise)};
+const Need kTrimRule{"trimmed in --aggregator", uses_rule<kTrimmedMean>};
+const Need kKrumRule{"krum in --aggregator", uses_rule<kKrum>};
+const Need kClipRule{"clipped in --aggregator", uses_rule<kNormClippedMean>};
 const Need kBackoff{"--retry-backoff > 0", HOLDS(c.run.resilience.retry.backoff_base > 0)};
 const Need kAsyncOn{"--async", HOLDS(c.async_on)};
-const Need kEscalateOn{"--escalate", HOLDS(c.run.escalation.enabled)};
-const Need kChurnOn{"churn (--churn-* > 0 or --churn-initial < 1)", HOLDS(c.churn.any_churn())};
+const Need kChurnOn{"churn (--churn-* > 0 or --churn-initial < 1)",
+                    HOLDS(c.run.churn.any_churn())};
 const Need kAdmissionCap{"an admission cap (--admit-max-* > 0)", HOLDS(c.run.admission.limited())};
 const Need kStore{"--ckpt-dir", HOLDS(c.store.enabled())};
 const Need kMetricsOut{"--metrics-out", HOLDS(!c.metrics_out.empty())};
-const Need kFaultAware{"--fault-aware-sampling", HOLDS(c.run.fault_aware_sampling)};
 const Need kTopk{"--algo fedavg+topk", HOLDS(c.algo == "fedavg+topk")};
 const Need kSpatl{"--algo spatl", HOLDS(c.algo == "spatl")};  // prune has no --algo
 
@@ -198,19 +195,19 @@ const Flag kFlags[] = {
     {"topk", kRun, NUMBER(fl.topk_fraction), &kTopk},
     {"out", kRun, TEXT(out), nullptr, "CKPT"},
 
-    {"fault-dropout", kFault, NUMBER(faults.dropout_rate)},
-    {"fault-straggler", kFault, NUMBER(faults.straggler_rate)},
-    {"fault-corruption", kFault, NUMBER(faults.corruption_rate)},
-    {"fault-corruption-kind", kFault, PARSED(faults.corruption_kind, parse_corruption_kind),
+    {"fault-dropout", kFault, NUMBER(run.faults.dropout_rate)},
+    {"fault-straggler", kFault, NUMBER(run.faults.straggler_rate)},
+    {"fault-corruption", kFault, NUMBER(run.faults.corruption_rate)},
+    {"fault-corruption-kind", kFault, PARSED(run.faults.corruption_kind, parse_corruption_kind),
      &kCorruption, "nan|inf|bitflip"},
-    {"fault-loss", kFault, NUMBER(faults.loss_rate)},
-    {"fault-seed", kFault, SEED(faults.seed), &kFaultModel},
-    {"fault-deadline", kFault, NUMBER(faults.round_deadline), &kFaultModel},
-    {"byz-fraction", kFault, NUMBER(faults.byzantine_fraction)},
-    {"byz-attack", kFault, PARSED(faults.attack_kind, fl::parse_attack_kind), &kByzantine,
+    {"fault-loss", kFault, NUMBER(run.faults.loss_rate)},
+    {"fault-seed", kFault, SEED(run.faults.seed), &kFaultModel},
+    {"fault-deadline", kFault, NUMBER(run.faults.round_deadline), &kFaultModel},
+    {"byz-fraction", kFault, NUMBER(run.faults.byzantine_fraction)},
+    {"byz-attack", kFault, PARSED(run.faults.attack_kind, fl::parse_attack_kind), &kByzantine,
      "signflip|scale|noise|collude"},
-    {"byz-scale", kFault, NUMBER(faults.attack_scale), &kScaleAttack},
-    {"byz-noise", kFault, NUMBER(faults.attack_noise_std), &kNoiseAttack},
+    {"byz-scale", kFault, NUMBER(run.faults.attack_scale), &kScaleAttack},
+    {"byz-noise", kFault, NUMBER(run.faults.attack_noise_std), &kNoiseAttack},
 
     {"quorum", kDefence, COUNT(run.resilience.min_quorum)},
     {"max-update-norm", kDefence, NUMBER(run.resilience.max_update_norm)},
@@ -226,33 +223,23 @@ const Flag kFlags[] = {
     {"trim-fraction", kRobust, NUMBER(run.resilience.trim_fraction), &kTrimRule},
     {"krum-f", kRobust, COUNT(run.resilience.krum_f), &kKrumRule},
     {"multi-krum", kRobust, COUNT(run.resilience.multi_krum), &kKrumRule},
-    {"krum-auto-f", kRobust, SWITCH(run.krum_auto_f), &kKrumRule},
     {"clip-norm", kRobust, NUMBER(run.resilience.clip_norm), &kClipRule},
 
     {"async", kAsync, SWITCH(async_on), &kFaultModel},
     {"async-stale-weight", kAsync, NUMBER(async.stale_weight), &kAsyncOn},
     {"async-max-lag", kAsync, COUNT(async.max_lag), &kAsyncOn},
-    {"escalate", kAsync, SWITCH(run.escalation.enabled)},
-    {"escalate-threshold", kAsync, NUMBER(run.escalation.suspect_threshold), &kEscalateOn},
-    {"escalate-patience", kAsync, COUNT(run.escalation.patience), &kEscalateOn},
-    {"escalate-aggregator", kAsync, PARSED(run.escalation.aggregator, fl::parse_aggregator_kind),
-     &kEscalateOn, "median|trimmed|krum|clipped"},
-    {"escalate-reset-after", kAsync, COUNT(run.escalation.reset_after_quiet), &kEscalateOn},
 
-    {"churn-join", kChurn, NUMBER(churn.join_rate)},
-    {"churn-leave", kChurn, NUMBER(churn.leave_rate)},
-    {"churn-return", kChurn, NUMBER(churn.return_rate)},
-    {"churn-initial", kChurn, NUMBER(churn.initial_fraction)},
-    {"churn-stale-weight", kChurn, NUMBER(churn.return_stale_weight), &kChurnOn},
-    {"churn-staleness-cap", kChurn, COUNT(churn.staleness_cap), &kChurnOn},
-    {"churn-seed", kChurn, SEED(churn.seed), &kChurnOn},
+    {"churn-join", kChurn, NUMBER(run.churn.join_rate)},
+    {"churn-leave", kChurn, NUMBER(run.churn.leave_rate)},
+    {"churn-return", kChurn, NUMBER(run.churn.return_rate)},
+    {"churn-initial", kChurn, NUMBER(run.churn.initial_fraction)},
+    {"churn-stale-weight", kChurn, NUMBER(run.churn.return_stale_weight), &kChurnOn},
+    {"churn-staleness-cap", kChurn, COUNT(run.churn.staleness_cap), &kChurnOn},
+    {"churn-seed", kChurn, SEED(run.churn.seed), &kChurnOn},
     {"admit-max-participants", kChurn, COUNT(run.admission.max_participants)},
     {"admit-max-uplink-bytes", kChurn, NUMBER(run.admission.max_uplink_bytes)},
     {"admit-policy", kChurn, PARSED(run.admission.policy, fl::parse_admission_policy),
      &kAdmissionCap, "shed|defer"},
-
-    {"fault-aware-sampling", kSampling, SWITCH(run.fault_aware_sampling)},
-    {"fault-ema-decay", kSampling, NUMBER(run.fault_ema_decay), &kFaultAware},
 
     {"checkpoint-every", kRecovery, COUNT(run.checkpoint_every)},
     {"ckpt-dir", kRecovery, TEXT(store.dir), nullptr, "DIR"},
@@ -315,8 +302,7 @@ Config parse(Cmd cmd, const common::Flags& flags) {
   if (c.fl.model.arch == "cnn2") c.fl.model.in_channels = 1;
   for (const Flag* f : given) {
     const std::string flag = std::string("--") + f->name;
-    if (c.algo == "local-only" && f->group >= kFault &&
-        f->group <= kSampling) {
+    if (c.algo == "local-only" && f->group >= kFault && f->group <= kChurn) {
       throw std::invalid_argument(flag + " does not apply to --algo " +
                                   "local-only, which has no uplink");
     }
@@ -325,9 +311,7 @@ Config parse(Cmd cmd, const common::Flags& flags) {
     }
     c.summary = c.summary || f->group == kDefence;
   }
-  if (c.faults.any_faults()) c.run.faults = c.faults;
   if (c.async_on) c.run.async = c.async;
-  if (c.churn.any_churn()) c.run.churn = c.churn;
   if (c.store.enabled()) c.run.ckpt_store = c.store;
   c.run.resume_from_store = c.store.enabled() && !c.no_store_resume;
   return c;
@@ -401,7 +385,7 @@ int cmd_train(Config& c) {
               result.best_accuracy * 100.0,
               common::format_bytes(result.comm.total()).c_str());
   const auto total = [&](const char* name) { return result.total(name); };
-  if (c.run.faults || c.summary) {
+  if (c.run.faults.any_faults() || c.summary) {
     std::printf(
         "participation: %zu selected, %zu accepted, %zu dropped, "
         "%zu stragglers, %zu rejected, %zu rounds skipped\n"
@@ -416,10 +400,6 @@ int cmd_train(Config& c) {
           "at exit\n",
           total("parked"), total("late_commits"), result.buffered_remaining);
     }
-    if (total("escalated") > 0) {
-      std::printf("escalation: %zu rounds under the escalated aggregator\n",
-                  total("escalated"));
-    }
     if (result.total_backoff_wait > 0.0 || total("giveups") > 0) {
       std::printf("retry discipline: %.2f total backoff wait, %zu give-ups\n",
                   result.total_backoff_wait, total("giveups"));
@@ -432,7 +412,7 @@ int cmd_train(Config& c) {
           total("attacked"), total("suspected"), total("rolled_back"));
     }
   }
-  if (c.run.churn) {
+  if (c.run.churn.any_churn()) {
     std::printf(
         "churn: %zu joined, %zu left, %zu returned, %zu returning "
         "uplinks discounted\n",
@@ -452,9 +432,6 @@ int cmd_train(Config& c) {
         result.store_commits, c.run.ckpt_store->dir.c_str(),
         result.store_commit_failures, result.recoveries_from_store,
         result.recovery_attempts_failed);
-  }
-  if (c.run.krum_auto_f) {
-    std::printf("krum auto-f: final estimate %zu\n", result.krum_f_estimate);
   }
   if (c.run.alerts != nullptr) {
     std::printf("alerts: %zu emitted\n", alerts.alerts_emitted());
